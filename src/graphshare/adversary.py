@@ -70,6 +70,8 @@ def tree_shapes(n: int):
     """All trees on n vertices up to isomorphism, in a fixed order."""
     import networkx as nx
 
+    if n < 1:
+        raise ValueError(f"a tree needs at least 1 vertex, got {n}")
     if n == 1:
         yield GraphShape(1, ())
         return

@@ -34,7 +34,13 @@ from .core import (
 )
 from .generators import gen_cycle7_family, gen_random_connected, gen_random_tree
 from .instance_io import format_instance, parse_instance
-from .solve import SOLVE_WARN_VERTICES, canonical_strategy, format_line, solve
+from .solve import (
+    SOLVE_WARN_VERTICES,
+    canonical_strategy,
+    format_fraction,
+    format_line,
+    solve,
+)
 from .verify import UnknownSuiteError, run_suite
 
 EXIT_OK = 0
@@ -42,11 +48,7 @@ EXIT_SUITE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TIE = 3
 
-_POLICIES = {
-    "forbid": TiePolicy.FORBID,
-    "first": TiePolicy.FIRST_MOVES,
-    "second": TiePolicy.SECOND_MOVES,
-}
+_POLICY_CHOICES = sorted(policy.value for policy in TiePolicy)
 
 
 class _UsageError(Exception):
@@ -56,10 +58,6 @@ class _UsageError(Exception):
 def _read_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_instance(handle.read())
-
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +72,7 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
             "may take a while",
             file=sys.stderr,
         )
-    policy = _POLICIES[args.policy]
+    policy = TiePolicy.from_token(args.policy)
     report = solve(instance, policy)
     if args.start is None:
         out.write(report.render())
@@ -82,7 +80,7 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     if not 0 <= args.start < instance.vertex_count:
         raise _UsageError(f"start vertex {args.start} does not exist")
     entry = report.per_start[args.start]
-    out.write(f"start.{entry.start}.value={_frac(entry.value)}\n")
+    out.write(f"start.{entry.start}.value={format_fraction(entry.value)}\n")
     out.write(f"start.{entry.start}.line={format_line(entry.line)}\n")
     out.write(f"policy={policy.value}\n")
     return EXIT_OK
@@ -175,8 +173,8 @@ def run_play(
     f_set = ",".join(map(str, sorted(outcome.first_set))) or "-"
     s_set = ",".join(map(str, sorted(outcome.second_set))) or "-"
     output_stream.write(
-        f"final: first[{f_set}]={_frac(outcome.first_value)} "
-        f"second[{s_set}]={_frac(1 - outcome.first_value)}\n"
+        f"final: first[{f_set}]={format_fraction(outcome.first_value)} "
+        f"second[{s_set}]={format_fraction(1 - outcome.first_value)}\n"
     )
     human_score = (
         outcome.first_value
@@ -190,18 +188,18 @@ def run_play(
         else ("beats" if human_score > engine_optimal else "falls short of")
     )
     output_stream.write(
-        f"your share {_frac(human_score)} {relation} the optimal "
-        f"{_frac(engine_optimal)} for your side\n"
+        f"your share {format_fraction(human_score)} {relation} the optimal "
+        f"{format_fraction(engine_optimal)} for your side\n"
     )
     return outcome
 
 
 def _cmd_play(args: argparse.Namespace, out: IO[str]) -> int:
     instance = _read_instance(args.file)
-    policy = _POLICIES[args.policy]
+    policy = TiePolicy.from_token(args.policy)
     side = Player.FIRST if args.human == "first" else Player.SECOND
-    outcome = run_play(instance, policy, side, sys.stdin, out)
-    return EXIT_OK if outcome is not None else EXIT_OK
+    run_play(instance, policy, side, sys.stdin, out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +210,14 @@ def _parse_param(token: str):
     if "=" not in token:
         raise _UsageError(f"--param needs key=value, got {token!r}")
     key, text = token.split("=", 1)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return key, Fraction(int(num), int(den))
-    if "," in text:
-        return key, tuple(int(part) for part in text.split(","))
     try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return key, Fraction(int(num), int(den))
+        if "," in text:
+            return key, tuple(int(part) for part in text.split(","))
         return key, int(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise _UsageError(f"cannot parse --param value {text!r}") from None
 
 
@@ -295,7 +293,7 @@ def _parse_shapes(token: str) -> list[GraphShape]:
 
 def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     shapes = _parse_shapes(args.shape)
-    policy = _POLICIES[args.policy]
+    policy = TiePolicy.from_token(args.policy)
     if args.method == "hill" and args.seed is None:
         raise _UsageError("--seed is required for method hill")
     best = None
@@ -313,7 +311,7 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     assert best is not None
     value, _index, instance, stop_reason = best
     out.write(format_instance(instance))
-    out.write(f"value={_frac(value)}\n")
+    out.write(f"value={format_fraction(value)}\n")
     out.write(f"method={args.method}\n")
     out.write(f"policy={policy.value}\n")
     out.write(f"shape={args.shape}\n")
@@ -338,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file exactly")
     p_solve.add_argument("file")
-    p_solve.add_argument("--policy", choices=sorted(_POLICIES), default="forbid")
+    p_solve.add_argument("--policy", choices=_POLICY_CHOICES, default="forbid")
     p_solve.add_argument("--start", type=int, default=None)
 
     p_play = sub.add_parser("play", help="play against the engine")
     p_play.add_argument("file")
     p_play.add_argument("--human", choices=("first", "second"), required=True)
-    p_play.add_argument("--policy", choices=sorted(_POLICIES), default="forbid")
+    p_play.add_argument("--policy", choices=_POLICY_CHOICES, default="forbid")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True)
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adv = sub.add_parser("adversary", help="search for worst-case weights")
     p_adv.add_argument("--shape", required=True)
-    p_adv.add_argument("--policy", choices=sorted(_POLICIES), default="forbid")
+    p_adv.add_argument("--policy", choices=_POLICY_CHOICES, default="forbid")
     p_adv.add_argument("--method", choices=("alt", "hill"), default="alt")
     p_adv.add_argument("--seed", type=int, default=None)
     p_adv.add_argument("--iters", type=int, default=None)

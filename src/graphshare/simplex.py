@@ -1,20 +1,44 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex, exact, over an integer tableau.
 
-Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, with all
-data and arithmetic in fractions, so the optimum is certificate-quality.
-Bland's rule guarantees termination.  Intended for the small tableaus
-produced by the weight-minimization row generation; nothing here is
-tuned for large problems.
+Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  The
+data may be fractions; the results are exact Fractions, so the optimum
+is certificate-quality.  Bland's rule guarantees termination.  Intended
+for the small tableaus produced by the weight-minimization row
+generation; nothing here is tuned for large problems.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every entry
+is an integer numerator over one shared positive denominator ``d``.
+Pivoting on ``p = T[r][c]`` keeps row ``r``, replaces every other row by
+``(p*T[i][j] - T[i][c]*T[r][j]) // d`` and then sets ``d = p``.  Each
+entry stays a minor of the starting integer tableau, so the division is
+exact, and nothing reduces a fraction inside the pivot loop.
+
+The pivots are the ones Bland's rule takes over the rationals.  The
+entering column is the first with a negative reduced cost and the
+leaving row the least ratio ``rhs/coeff``, ties to the least basic
+index; with ``d > 0`` a sign test reads the numerator, and two ratios
+compare by cross-multiplying their numerators.  Three details keep it
+so:
+
+- One scale for every row.  All constraint rows are multiplied by one
+  ``L``, the lcm of every denominator in the constraint data, while
+  slack and artificial columns keep coefficient 1.  That rescales each
+  slack and artificial variable by the same ``L``; a row-by-row scale
+  would reweight the phase-one objective and change its pivots.
+- The phase-two cost row is carried through phase one as one more
+  tableau row.  Recomputing it afterwards as ``f*row/d`` need not be
+  an integer.
+- ``d`` stays positive.  Driving a leftover artificial out of the basis
+  may pivot on a negative entry (say, an equality row with zero right
+  side and negative coefficients); every row and ``d`` are then negated.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import GraphShareError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LPInfeasibleError(GraphShareError):
@@ -25,47 +49,54 @@ class LPUnboundedError(GraphShareError):
     """The objective decreases without bound over the feasible region."""
 
 
-def _pivot(rows, cost, basis, pivot_row, pivot_col):
-    row = rows[pivot_row]
-    inv = ONE / row[pivot_col]
-    rows[pivot_row] = row = [value * inv for value in row]
-    for r, other in enumerate(rows):
-        if r != pivot_row and other[pivot_col]:
-            factor = other[pivot_col]
-            rows[r] = [a - factor * b for a, b in zip(other, row)]
-    if cost[pivot_col]:
-        factor = cost[pivot_col]
-        for j, value in enumerate(row):
-            cost[j] -= factor * value
+def _pivot(rows, costs, basis, pivot_row, pivot_col, d):
+    """Pivot on rows[pivot_row][pivot_col]; return the new denominator."""
+    prow = rows[pivot_row]
+    p = prow[pivot_col]
+    for table in (rows, costs):
+        for i, row in enumerate(table):
+            if row is prow:
+                continue
+            f = row[pivot_col]
+            if f:
+                table[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                table[i] = [p * a // d for a in row]
     basis[pivot_row] = pivot_col
+    if p > 0:
+        return p
+    for table in (rows, costs):
+        for i, row in enumerate(table):
+            table[i] = [-a for a in row]
+    return -p
 
 
-def _optimize(rows, cost, basis, allowed):
-    """Run Bland-rule pivots until no allowed column improves the cost."""
+def _optimize(rows, costs, basis, d):
+    """Run Bland-rule pivots until no column improves costs[0]; return d."""
+    cost = costs[0]
     while True:
-        pivot_col = None
-        for j in range(len(cost) - 1):
-            if allowed[j] and cost[j] < ZERO:
-                pivot_col = j
-                break
+        pivot_col = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if pivot_col is None:
-            return
-        pivot_row = None
-        best_ratio = None
+            return d
+        pivot_row = -1
         for i, row in enumerate(rows):
             coeff = row[pivot_col]
-            if coeff > ZERO:
-                ratio = row[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
-                ):
-                    pivot_row = i
-                    best_ratio = ratio
-        if pivot_row is None:
+            if coeff > 0:
+                if pivot_row < 0:
+                    pivot_row, best_rhs, best_coeff = i, row[-1], coeff
+                    continue
+                lhs = row[-1] * best_coeff
+                rhs = best_rhs * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                    pivot_row, best_rhs, best_coeff = i, row[-1], coeff
+        if pivot_row < 0:
             raise LPUnboundedError("no blocking row for an improving column")
-        _pivot(rows, cost, basis, pivot_row, pivot_col)
+        d = _pivot(rows, costs, basis, pivot_row, pivot_col, d)
+        cost = costs[0]
+
+
+def _scaled(values, scale):
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
@@ -76,78 +107,73 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
     """
     nvars = len(objective)
     c = [Fraction(v) for v in objective]
+    data = [
+        [Fraction(v) for v in row] + [Fraction(rhs)]
+        for row, rhs in zip([*a_ub, *a_eq], [*b_ub, *b_eq])
+    ]
     n_ub = len(a_ub)
-    n_eq = len(a_eq)
     ncols = nvars + n_ub  # structural then one slack per inequality
-    rows: list[list[Fraction]] = []
+    scale = math.lcm(*(v.denominator for row in data for v in row))
+    rows: list[list[int]] = []
     needs_artificial: list[bool] = []
-    for i in range(n_ub):
-        row = [Fraction(v) for v in a_ub[i]] + [ZERO] * n_ub + [Fraction(b_ub[i])]
-        row[nvars + i] = ONE
-        if row[-1] < ZERO:
+    for i, values in enumerate(data):
+        scaled = _scaled(values, scale)
+        row = scaled[:-1] + [0] * n_ub + scaled[-1:]
+        if i < n_ub:
+            row[nvars + i] = 1
+        if row[-1] < 0:
             row = [-v for v in row]
-            needs_artificial.append(True)
-        else:
-            needs_artificial.append(False)
+        # an inequality's slack starts basic unless negation flipped it
+        needs_artificial.append(i >= n_ub or row[nvars + i] < 0)
         rows.append(row)
-    for i in range(n_eq):
-        row = [Fraction(v) for v in a_eq[i]] + [ZERO] * n_ub + [Fraction(b_eq[i])]
-        if row[-1] < ZERO:
-            row = [-v for v in row]
-        needs_artificial.append(True)
-        rows.append(row)
-    basis = [-1] * len(rows)
-    art_cols: list[int] = []
-    for i, needed in enumerate(needs_artificial):
-        if needed:
-            col = ncols + len(art_cols)
-            art_cols.append(col)
-            basis[i] = col
-        else:
-            basis[i] = nvars + i
-    total_cols = ncols + len(art_cols)
+    n_art = sum(needs_artificial)
+    basis: list[int] = []
+    art_col = ncols
     for i, row in enumerate(rows):
         rhs = row.pop()
-        row.extend([ZERO] * len(art_cols))
+        row.extend([0] * n_art)
         row.append(rhs)
-        if basis[i] >= ncols:
-            row[basis[i]] = ONE
-        rows[i] = row
+        if needs_artificial[i]:
+            row[art_col] = 1
+            basis.append(art_col)
+            art_col += 1
+        else:
+            basis.append(nvars + i)
 
-    if art_cols:
-        art_set = frozenset(art_cols)
-        cost = [ONE if j in art_set else ZERO for j in range(total_cols)] + [ZERO]
+    # the basic columns start at cost 0, so c is already the reduced cost
+    cost_scale = math.lcm(*(v.denominator for v in c))
+    cost = _scaled(c, cost_scale) + [0] * (n_ub + n_art + 1)
+    d = 1
+    if n_art:
+        phase_one = [0] * ncols + [1] * n_art + [0]
         for i, b in enumerate(basis):
-            if b in art_set:
-                cost = [a - r for a, r in zip(cost, rows[i])]
-        allowed = [True] * total_cols
-        _optimize(rows, cost, basis, allowed)
-        if -cost[-1] > ZERO:
+            if b >= ncols:
+                phase_one = [a - r for a, r in zip(phase_one, rows[i])]
+        costs = [phase_one, cost]
+        d = _optimize(rows, costs, basis, d)
+        if -costs[0][-1] > 0:
             raise LPInfeasibleError("phase one ended with positive infeasibility")
         # drive leftover artificials out of the basis or drop their rows
+        del costs[0]
         drop: list[int] = []
         for i in range(len(rows)):
-            if basis[i] in art_set:
-                pivot_col = next(
-                    (j for j in range(ncols) if rows[i][j] != ZERO), None
-                )
+            if basis[i] >= ncols:
+                pivot_col = next((j for j in range(ncols) if rows[i][j]), None)
                 if pivot_col is None:
                     drop.append(i)
                 else:
-                    _pivot(rows, cost, basis, i, pivot_col)
+                    d = _pivot(rows, costs, basis, i, pivot_col, d)
         for i in reversed(drop):
             rows.pop(i)
             basis.pop(i)
+        # no artificial is basic any more, and none may enter again
+        rows = [row[:ncols] + row[-1:] for row in rows]
+        cost = costs[0][:ncols] + costs[0][-1:]
 
-    cost = c + [ZERO] * (total_cols - nvars) + [ZERO]
-    for i, b in enumerate(basis):
-        if cost[b]:
-            factor = cost[b]
-            cost = [a - factor * r for a, r in zip(cost, rows[i])]
-    allowed = [j < ncols for j in range(total_cols)]
-    _optimize(rows, cost, basis, allowed)
-    x = [ZERO] * nvars
+    costs = [cost]
+    d = _optimize(rows, costs, basis, d)
+    x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = rows[i][-1]
-    return x, -cost[-1]
+            x[b] = Fraction(rows[i][-1], d)
+    return x, Fraction(-costs[0][-1], d * cost_scale)

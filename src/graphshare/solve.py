@@ -186,16 +186,16 @@ class SolveReport:
     def render(self) -> str:
         lines = []
         for entry in self.per_start:
-            lines.append(f"start.{entry.start}.value={_frac(entry.value)}")
+            lines.append(f"start.{entry.start}.value={format_fraction(entry.value)}")
             lines.append(f"start.{entry.start}.line={format_line(entry.line)}")
-        lines.append(f"value={_frac(self.value)}")
+        lines.append(f"value={format_fraction(self.value)}")
         lines.append(f"best_start={self.best_start}")
         lines.append(f"policy={self.policy.value}")
         lines.append(f"state_count={self.state_count}")
         return "\n".join(lines) + "\n"
 
 
-def _frac(value: Fraction) -> str:
+def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 

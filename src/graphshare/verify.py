@@ -32,7 +32,13 @@ from .generators import (
 )
 from .instance_io import format_instance, parse_instance
 from .oracle import audit_lines, brute_value
-from .solve import principal_line, optimal_responses, response_map, solve
+from .solve import (
+    format_fraction,
+    optimal_responses,
+    principal_line,
+    response_map,
+    solve,
+)
 
 SUITE_NAMES = (
     "general-third",
@@ -115,7 +121,6 @@ def escape_dump(text: str) -> str:
 
 def unescape_dump(text: str) -> str:
     out = []
-    it = iter(range(len(text)))
     i = 0
     while i < len(text):
         ch = text[i]
@@ -132,10 +137,6 @@ def unescape_dump(text: str) -> str:
         out.append(ch)
         i += 1
     return "".join(out)
-
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _subseeds(seed: int, count: int) -> list[int]:
@@ -223,8 +224,8 @@ def _suite_general_third(seed: int, params: dict) -> tuple[int, list, list]:
                     CaseFailure(
                         _case_id(index, instance),
                         format_instance(instance),
-                        f"value >= {_frac(floor)} under {policy.value}",
-                        f"value={_frac(value)}",
+                        f"value >= {format_fraction(floor)} under {policy.value}",
+                        f"value={format_fraction(value)}",
                     )
                 )
     return cases, failures, []
@@ -242,7 +243,7 @@ def _suite_tree_half(seed: int, params: dict) -> tuple[int, list, list]:
                     _case_id(index, instance),
                     format_instance(instance),
                     "tree value >= 1/2 under forbid",
-                    f"value={_frac(value)}",
+                    f"value={format_fraction(value)}",
                 )
             )
     return len(corpus), failures, []
@@ -349,7 +350,8 @@ def _suite_oracle_equivalence(seed: int, params: dict) -> tuple[int, list, list]
                             format_instance(instance),
                             f"solver == oracle at start {entry.start} "
                             f"under {policy.value}",
-                            f"solver={_frac(entry.value)} oracle={_frac(reference)}",
+                            f"solver={format_fraction(entry.value)} "
+                            f"oracle={format_fraction(reference)}",
                         )
                     )
     return len(corpus), failures, []
@@ -363,15 +365,15 @@ def _suite_cycle7_family(seed: int, params: dict) -> tuple[int, list, list]:
         instance = gen_cycle7_family(m)
         value = solve(instance, TiePolicy.FORBID).value
         bound = Fraction(m + 69, 3 * m + 95)
-        records.append((f"cycle7.M{m}.value", _frac(value)))
-        records.append((f"cycle7.M{m}.bound", _frac(bound)))
+        records.append((f"cycle7.M{m}.value", format_fraction(value)))
+        records.append((f"cycle7.M{m}.bound", format_fraction(bound)))
         if value > bound:
             failures.append(
                 CaseFailure(
                     f"{index:04d}-M{m}",
                     format_instance(instance),
-                    f"value <= {_frac(bound)}",
-                    f"value={_frac(value)}",
+                    f"value <= {format_fraction(bound)}",
+                    f"value={format_fraction(value)}",
                 )
             )
         replies = optimal_responses(instance, TiePolicy.FORBID, d_vertex)
@@ -399,8 +401,8 @@ def _suite_edge_family(seed: int, params: dict) -> tuple[int, list, list]:
                 CaseFailure(
                     f"{k:04d}-edge",
                     format_instance(instance),
-                    f"value == {_frac(expected)}",
-                    f"value={_frac(value)}",
+                    f"value == {format_fraction(expected)}",
+                    f"value={format_fraction(value)}",
                 )
             )
     return k_max, failures, []
@@ -434,10 +436,10 @@ def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
             best_value, best_instance = refined.value, refined.instance
     records = [
         ("search.shapes", str(len(shapes))),
-        ("search.best_value", _frac(best_value)),
+        ("search.best_value", format_fraction(best_value)),
         ("search.best_instance", escape_dump(format_instance(best_instance))),
-        ("search.threshold", _frac(threshold)),
-        ("search.stretch", _frac(stretch)),
+        ("search.threshold", format_fraction(threshold)),
+        ("search.stretch", format_fraction(stretch)),
         ("search.stretch_met", "yes" if best_value <= stretch else "no"),
     ]
     failures = []
@@ -446,8 +448,8 @@ def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
             CaseFailure(
                 "0000-search",
                 format_instance(best_instance),
-                f"best certified value <= {_frac(threshold)}",
-                f"best={_frac(best_value)}",
+                f"best certified value <= {format_fraction(threshold)}",
+                f"best={format_fraction(best_value)}",
             )
         )
     return len(shapes), failures, records
@@ -486,12 +488,19 @@ _SUITES: dict[str, Callable[[int, dict], tuple[int, list, list]]] = {
 def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> SuiteReport:
     """Run one named suite deterministically and return its report.
 
-    ``size_params`` overrides the suite's default sizes/thresholds; the
-    report depends only on ``(name, seed, size_params)``.
+    ``size_params`` overrides the suite's default sizes/thresholds; a
+    key the suite does not define raises GraphShareError.  The report
+    depends only on ``(name, seed, size_params)``.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(name)
     params = dict(_DEFAULTS[name])
+    unknown = sorted(set(size_params or ()) - set(params))
+    if unknown:
+        raise GraphShareError(
+            f"unknown parameter {unknown[0]!r} for suite {name!r}; "
+            f"known parameters: {', '.join(params)}"
+        )
     if size_params:
         params.update(size_params)
     started = time.perf_counter()

@@ -13,6 +13,7 @@ from graphshare.adversary import (
     HILL_VERTEX_CAP,
     AdversaryResult,
     GraphShape,
+    IterationRecord,
     _tie_free_lift,
     alternate_optimize,
     extract_forest,
@@ -231,6 +232,50 @@ class TestAlternateOptimize:
         big = GraphShape.cycle(ALTERNATE_VERTEX_CAP + 1)
         with pytest.raises(InstanceTooLargeError):
             alternate_optimize(big, TiePolicy.FORBID)
+
+
+def _record(iteration, lp_bound, candidate_value, best_value):
+    return IterationRecord(
+        iteration, Fraction(lp_bound), Fraction(candidate_value), Fraction(best_value)
+    )
+
+
+SPIDER_BEST = "125005003/375000000"
+CYCLE7_BEST = "187502003/562500000"
+ONE_HALF_PLUS = "1000000001/2000000000"
+
+
+class TestPinnedTraces:
+    """Full traces and final instances of two runs, as the exact LP found
+    them.  A degenerate LP has several optimal vertices; an LP change that
+    lands on another one changes these and fails here."""
+
+    def test_gated_spider_first_moves(self):
+        result = alternate_optimize(SPIDER, TiePolicy.FIRST_MOVES, max_iters=4)
+        assert result.value == Fraction(SPIDER_BEST)
+        assert result.instance == SPIDER.instance(
+            (6003, 6003, 6003, 15009, 3000, 3003, 1000013009, 999973985, 999973985)
+        )
+        assert result.stop_reason == "max_iters"
+        assert result.trace == (
+            _record(0, SPIDER_BEST, SPIDER_BEST, SPIDER_BEST),
+            _record(1, "1/2", "1/2", SPIDER_BEST),
+            _record(2, ONE_HALF_PLUS, ONE_HALF_PLUS, SPIDER_BEST),
+            _record(3, ONE_HALF_PLUS, ONE_HALF_PLUS, SPIDER_BEST),
+        )
+
+    def test_cycle7_forbid(self):
+        shape = GraphShape.cycle(7)
+        result = alternate_optimize(shape, TiePolicy.FORBID)
+        assert result.value == Fraction(CYCLE7_BEST)
+        assert result.instance == shape.instance(
+            (2999971967, 2999983985, 12027, 9000, 9018, 2999995985, 18018)
+        )
+        assert result.stop_reason == "converged"
+        assert result.trace == (
+            _record(0, CYCLE7_BEST, CYCLE7_BEST, CYCLE7_BEST),
+            _record(1, "1/2", "64000000000000064/128000000000000127", CYCLE7_BEST),
+        )
 
 
 class TestHillClimb:

@@ -30,6 +30,14 @@ def cycle7_file(tmp_path):
     return str(target)
 
 
+def assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
 def write_instance(tmp_path, instance, name="inst.txt"):
     target = tmp_path / name
     target.write_text(format_instance(instance))
@@ -164,6 +172,18 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "edge-family", "--param", "k_max"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("param", ["cases=1/0", "cases=a/b", "cases=1,x"])
+    def test_unparsable_param_value(self, param, capsys):
+        code = main(["verify", "--suite", "general-third", "--param", param])
+        assert code == EXIT_USAGE
+        assert_one_line_error(capsys)
+
+    def test_unknown_param_key(self, capsys):
+        code = main(["verify", "--suite", "edge-family", "--param", "bogus=3"])
+        assert code == EXIT_USAGE
+        err = assert_one_line_error(capsys)
+        assert "bogus" in err
+
 
 class TestAdversaryCommand:
     def test_alternate_on_edge(self, capsys):
@@ -207,6 +227,10 @@ class TestAdversaryCommand:
 
     def test_bad_shape(self, capsys):
         assert main(["adversary", "--shape", "grid:3"]) == EXIT_USAGE
+
+    def test_empty_tree_enumeration(self, capsys):
+        assert main(["adversary", "--shape", "tree-enum:0"]) == EXIT_USAGE
+        assert_one_line_error(capsys)
 
 
 class TestPlayCommand:

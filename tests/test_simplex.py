@@ -1,5 +1,6 @@
-"""Exact rational simplex: known optima, degeneracy, and a tiny
-independent vertex-enumeration oracle for random two-variable programs."""
+"""Exact simplex: known optima, degeneracy, the drive-out and dropped-row
+paths, and a tiny independent vertex-enumeration oracle for random
+two-variable programs."""
 
 from __future__ import annotations
 
@@ -68,6 +69,26 @@ class TestKnownPrograms:
         x, value = solve_lp(objective, a_ub, b_ub, [], [])
         assert value == Fraction(-1, 20)
 
+    def test_negative_drive_out_pivot(self):
+        # -x - y = 0 leaves its artificial basic at zero after phase one;
+        # driving it out pivots on the -1 under x, and z must still
+        # enter in phase two
+        x, value = solve_lp([0, 0, -1], [[0, 0, 1]], [1], [[-1, -1, 0]], [0])
+        assert x == [Fraction(0), Fraction(0), Fraction(1)]
+        assert value == Fraction(-1)
+
+    def test_proportional_equalities_drop_a_row(self):
+        # the second row is twice the first, so its artificial stays
+        # basic on an all-zero row and the row is dropped
+        x, value = solve_lp([1, 2], [], [], [[1, 1], [2, 2]], [2, 4])
+        assert x == [Fraction(2), Fraction(0)]
+        assert value == Fraction(2)
+        x, value = solve_lp(
+            [Fraction(1, 3), 1], [[0, 1]], [5], [[-2, -3], [Fraction(2, 3), 1]], [-6, 2]
+        )
+        assert x == [Fraction(3), Fraction(0)]
+        assert value == Fraction(1)
+
     def test_zero_variable_count(self):
         x, value = solve_lp([], [], [], [], [])
         assert x == []
@@ -99,16 +120,26 @@ def _oracle_2var(objective, a_ub, b_ub):
     return min(c[0] * px + c[1] * py for px, py in candidates)
 
 
+def _coefficients(bound):
+    """Integers, and fractions with denominators up to 10^9, so one row
+    can need a large common scale."""
+    return st.one_of(
+        st.integers(min_value=-bound, max_value=bound),
+        st.fractions(min_value=-bound, max_value=bound, max_denominator=10**9),
+    )
+
+
 @given(
     objective=st.lists(
-        st.integers(min_value=1, max_value=9), min_size=2, max_size=2
+        st.one_of(
+            st.integers(min_value=1, max_value=9),
+            st.fractions(min_value=1, max_value=9, max_denominator=10**9),
+        ),
+        min_size=2,
+        max_size=2,
     ),
     rows=st.lists(
-        st.tuples(
-            st.integers(min_value=-5, max_value=5),
-            st.integers(min_value=-5, max_value=5),
-            st.integers(min_value=-10, max_value=10),
-        ),
+        st.tuples(_coefficients(5), _coefficients(5), _coefficients(10)),
         min_size=1,
         max_size=5,
     ),
