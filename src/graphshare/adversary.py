@@ -143,11 +143,6 @@ def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioFo
             f"forest extraction capped at {ALTERNATE_VERTEX_CAP} vertices"
         )
     search = _Search(instance, policy)
-    weights = instance.weights
-    nbr = instance.neighbor_masks
-    full = instance.full_mask
-    forbid = policy is TiePolicy.FORBID
-    first_on_tie = policy is TiePolicy.FIRST_MOVES
     memo: dict[tuple[int, int], ForestNode] = {}
 
     def build(fm: int, sm: int, f: int, s: int, reach: int) -> ForestNode:
@@ -155,56 +150,17 @@ def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioFo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        taken = fm | sm
-        if taken == full:
+        if fm | sm == search.full:
             node = ForestNode(fm, sm, None, False, ())
         else:
-            tied = f == s
-            if tied and forbid:
-                raise TieEncounteredError(fm, sm)
-            if f < s:
-                who = Player.FIRST
-            elif f > s:
-                who = Player.SECOND
-            else:
-                who = Player.FIRST if first_on_tie else Player.SECOND
-            moves = reach & ~taken
-            children = []
-            if who is Player.SECOND:
-                best_val = None
-                best = None
-                m = moves
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    r = search.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
-                    if best_val is None or r < best_val:
-                        best_val = r
-                        best = (low, v)
-                low, v = best
-                children.append(
-                    build(fm, sm | low, f, s + weights[v], reach | nbr[v])
-                )
-            else:
-                m = moves
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    children.append(
-                        build(fm | low, sm, f + weights[v], s, reach | nbr[v])
-                    )
-            node = ForestNode(fm, sm, who, tied, tuple(children))
+            who, tied, found = search.branches(fm, sm, f, s, reach)
+            children = tuple([build(*child) for _v, child in found])
+            node = ForestNode(fm, sm, who, tied, children)
         memo[key] = node
         return node
 
-    roots = []
-    for start in range(instance.vertex_count):
-        bit = 1 << start
-        roots.append(
-            (start, build(bit, 0, weights[start], 0, nbr[start]))
-        )
+    _first, _tied, openings = search.branches(0, 0, 0, 0, 0)
+    roots = [(start, build(*opening)) for start, opening in openings]
     return AnnotatedScenarioForest(
         vertex_count=instance.vertex_count, policy=policy, roots=tuple(roots)
     )

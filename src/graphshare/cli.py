@@ -41,7 +41,7 @@ from .solve import (
     format_line,
     solve,
 )
-from .verify import UnknownSuiteError, run_suite
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
@@ -301,14 +301,12 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
         if args.method == "alt":
             iters = args.iters if args.iters is not None else 40
             result = alternate_optimize(shape, policy, max_iters=iters)
-            candidate = (result.value, index, result.instance, result.stop_reason)
         else:
             iters = args.iters if args.iters is not None else 2000
             result = hill_climb(shape, policy, seed=args.seed, iters=iters)
-            candidate = (result.value, index, result.instance, result.stop_reason)
+        candidate = (result.value, index, result.instance, result.stop_reason)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
-    assert best is not None
     value, _index, instance, stop_reason = best
     out.write(format_instance(instance))
     out.write(f"value={format_fraction(value)}\n")
@@ -379,9 +377,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TieEncounteredError:

@@ -96,6 +96,12 @@ class TiePolicy(Enum):
         return self.value
 
 
+# An enum member lookup costs about ten global lookups on CPython 3.11;
+# the mover rule and the search read these bindings instead.
+FIRST, SECOND = Player.FIRST, Player.SECOND
+_FORBID, _FIRST_MOVES = TiePolicy.FORBID, TiePolicy.FIRST_MOVES
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -263,23 +269,31 @@ def validate_state(instance: Instance, state: GameState) -> None:
         raise ValueError("taken region is not connected")
 
 
-def mover(instance: Instance, state: GameState, policy: TiePolicy) -> Player:
-    """Which player takes the next vertex.
+def mover_at(
+    first_mask: int, second_mask: int, f: int, s: int, policy: TiePolicy
+) -> Player:
+    """The game's one mover rule: who takes the next vertex, given both
+    holdings and their totals ``f`` (First's) and ``s`` (Second's).
 
-    The empty state always belongs to First.  Otherwise the player with
-    the strictly smaller total moves; on equal totals the policy decides,
-    and the forbid policy raises TieEncounteredError.
+    The player with the strictly smaller total moves.  On equal totals
+    the empty state belongs to First, the forbid policy raises
+    TieEncounteredError, and otherwise the policy names the mover.
     """
-    if state.taken_mask == 0:
-        return Player.FIRST
-    f, s = state.totals(instance)
     if f < s:
-        return Player.FIRST
+        return FIRST
     if f > s:
-        return Player.SECOND
-    if policy is TiePolicy.FORBID:
-        raise TieEncounteredError(state.first_mask, state.second_mask)
-    return Player.FIRST if policy is TiePolicy.FIRST_MOVES else Player.SECOND
+        return SECOND
+    if not first_mask | second_mask:
+        return FIRST
+    if policy is _FORBID:
+        raise TieEncounteredError(first_mask, second_mask)
+    return FIRST if policy is _FIRST_MOVES else SECOND
+
+
+def mover(instance: Instance, state: GameState, policy: TiePolicy) -> Player:
+    """Which player takes the next vertex at ``state`` (see ``mover_at``)."""
+    f, s = state.totals(instance)
+    return mover_at(state.first_mask, state.second_mask, f, s, policy)
 
 
 def legal_move_mask(instance: Instance, state: GameState) -> int:

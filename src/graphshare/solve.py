@@ -10,6 +10,12 @@ The search expands every child of every reached state, which also makes
 tie detection exact under the forbid policy: solving raises
 TieEncounteredError iff equal totals occur at any reachable nonempty
 state, including an exactly tied final split.
+
+One engine, ``_Search``, serves every view: its two expanders are
+``best`` (the value search) and ``optimal`` (the mover and its
+value-optimal moves, lowest vertex id first).  Lines, replies, the
+canonical strategy and the adversary's scenario forest are thin views
+over them and over one shared memo per call.
 """
 
 from __future__ import annotations
@@ -18,12 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    FIRST,
+    SECOND,
     GameState,
     Instance,
     InstanceTooLargeError,
     Player,
     TiePolicy,
     TieEncounteredError,
+    mover_at,
     validate_state,
 )
 
@@ -41,7 +50,17 @@ def _check_size(instance: Instance) -> None:
 
 class _Search:
     """One solve call's worth of search state (memo is never shared
-    across calls)."""
+    across calls), and the only code outside the oracle that decides
+    who moves or builds a child state.
+
+    A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
+    masks, their totals and the union of the taken vertices' neighbor
+    masks.  Two expanders read it: ``best``, the value search, and
+    ``optimal``, the mover with its value-optimal moves.  ``branches``
+    picks the moves the scenario forest follows, and every view in this
+    module and ``adversary.extract_forest`` is built on these.  The
+    totals' comparison is inline; equal totals go to ``core.mover_at``.
+    """
 
     def __init__(self, instance: Instance, policy: TiePolicy):
         self.instance = instance
@@ -51,8 +70,12 @@ class _Search:
         self.full = instance.full_mask
         self.shift = instance.vertex_count
         self.forbid = policy is TiePolicy.FORBID
-        self.first_on_tie = policy is TiePolicy.FIRST_MOVES
         self.memo: dict[int, int] = {}
+
+    def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int]:
+        """The search state of the holdings ``fm`` and ``sm``."""
+        weight_of = self.instance.weight_of
+        return fm, sm, weight_of(fm), weight_of(sm), self.instance.reach_mask(fm | sm)
 
     def best(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
         """Final First total under optimal play from (fm, sm)."""
@@ -70,12 +93,8 @@ class _Search:
             first_moves = True
         elif f > s:
             first_moves = False
-        elif taken == 0:
-            first_moves = True
-        elif self.forbid:
-            raise TieEncounteredError(fm, sm)
         else:
-            first_moves = self.first_on_tie
+            first_moves = mover_at(fm, sm, f, s, self.policy) is FIRST
         moves = self.full if taken == 0 else reach & ~taken
         weights = self.weights
         nbr = self.nbr
@@ -100,65 +119,74 @@ class _Search:
         memo[key] = best_val
         return best_val
 
-    def value_of_state(self, state: GameState) -> int:
-        f = self.instance.weight_of(state.first_mask)
-        s = self.instance.weight_of(state.second_mask)
-        reach = self.instance.reach_mask(state.taken_mask)
-        return self.best(state.first_mask, state.second_mask, f, s, reach)
-
-    def canonical_move(self, fm: int, sm: int, f: int, s: int, reach: int):
-        """Lowest-id move achieving the mover's optimal value.
-
-        Returns (mover, vertex, child search args).  Both players break
-        value ties the same way, keeping lines start-symmetric.
-        """
+    def optimal(self, fm: int, sm: int, f: int, s: int, reach: int):
+        """``(mover, moves)`` at a nonterminal state: ``moves`` holds
+        ``(vertex, child state)`` for each of the mover's value-optimal
+        moves, lowest vertex id first, the canonical one for both sides."""
         taken = fm | sm
         if f < s:
             first_moves = True
         elif f > s:
             first_moves = False
-        elif taken == 0:
-            first_moves = True
-        elif self.forbid:
-            raise TieEncounteredError(fm, sm)
         else:
-            first_moves = self.first_on_tie
-        moves = self.full if taken == 0 else reach & ~taken
+            first_moves = mover_at(fm, sm, f, s, self.policy) is FIRST
+        m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
         nbr = self.nbr
-        best_val = None
-        best_v = -1
-        m = moves
+        found = None
+        if first_moves:
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
+                if found is None or r > best_val:
+                    best_val = r
+                    found = []
+                elif r != best_val:
+                    continue
+                found.append((v, (fm | low, sm, f + weights[v], s, reach | nbr[v])))
+            return FIRST, found
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            if first_moves:
-                r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
-                better = best_val is None or r > best_val
-            else:
-                r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
-                better = best_val is None or r < best_val
-            if better:
+            r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
+            if found is None or r < best_val:
                 best_val = r
-                best_v = v
-        low = 1 << best_v
-        if first_moves:
-            args = (fm | low, sm, f + weights[best_v], s, reach | nbr[best_v])
-            return Player.FIRST, best_v, args
-        args = (fm, sm | low, f, s + weights[best_v], reach | nbr[best_v])
-        return Player.SECOND, best_v, args
+                found = []
+            elif r != best_val:
+                continue
+            found.append((v, (fm, sm | low, f, s + weights[v], reach | nbr[v])))
+        return SECOND, found
+
+    def branches(self, fm: int, sm: int, f: int, s: int, reach: int):
+        """``(mover, tied, moves)`` for the scenario forest: ``moves``
+        holds ``(vertex, child state)`` for every legal move of First, or
+        Second's canonical reply alone.  At the empty state: the openings."""
+        who = mover_at(fm, sm, f, s, self.policy)
+        if who is SECOND:
+            return who, f == s, self.optimal(fm, sm, f, s, reach)[1][:1]
+        taken = fm | sm
+        m = self.full if taken == 0 else reach & ~taken
+        weights = self.weights
+        nbr = self.nbr
+        found = []
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            found.append((v, (fm | low, sm, f + weights[v], s, reach | nbr[v])))
+        return who, f == s, found
 
     def line_from(self, fm: int, sm: int, f: int, s: int, reach: int):
+        """Canonical play from a state to the end of the game."""
         log: list[tuple[Player, int]] = []
         while (fm | sm) != self.full:
-            who, v, (fm, sm, f, s, reach) = self.canonical_move(fm, sm, f, s, reach)
+            who, found = self.optimal(fm, sm, f, s, reach)
+            v, (fm, sm, f, s, reach) = found[0]
             log.append((who, v))
         return tuple(log)
-
-    def opening_args(self, start: int):
-        bit = 1 << start
-        return (bit, 0, self.weights[start], 0, self.nbr[start])
 
 
 @dataclass(frozen=True)
@@ -208,7 +236,8 @@ def value_from(instance: Instance, policy: TiePolicy, state: GameState) -> Fract
     _check_size(instance)
     validate_state(instance, state)
     search = _Search(instance, policy)
-    return Fraction(search.value_of_state(state), instance.total_weight)
+    raw = search.best(*search.state(state.first_mask, state.second_mask))
+    return Fraction(raw, instance.total_weight)
 
 
 def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveReport:
@@ -220,11 +249,10 @@ def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveRepo
     per_start = []
     best_value = None
     best_start = -1
-    for start in range(instance.vertex_count):
-        args = search.opening_args(start)
-        raw = search.best(*args)
-        line = ((Player.FIRST, start),) + search.line_from(*args)
-        value = Fraction(raw, total)
+    _first, _tied, openings = search.branches(0, 0, 0, 0, 0)
+    for start, opening in openings:
+        value = Fraction(search.best(*opening), total)
+        line = ((FIRST, start),) + search.line_from(*opening)
         per_start.append(StartResult(start=start, value=value, line=line))
         if best_value is None or value > best_value:
             best_value = value
@@ -247,29 +275,12 @@ def principal_line(
     if not 0 <= start < instance.vertex_count:
         raise ValueError(f"start vertex {start} does not exist")
     search = _Search(instance, policy)
-    args = search.opening_args(start)
-    return ((Player.FIRST, start),) + search.line_from(*args)
+    return ((Player.FIRST, start),) + search.line_from(*search.state(1 << start, 0))
 
 
-def _replies(search: _Search, instance: Instance, start: int) -> tuple[int, ...]:
-    bit = 1 << start
-    f = instance.weights[start]
-    reach = instance.neighbor_masks[start]
-    nbr = instance.neighbor_masks
-    best_val = None
-    replies: list[int] = []
-    m = reach
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        r = search.best(bit, low, f, instance.weights[v], reach | nbr[v])
-        if best_val is None or r < best_val:
-            best_val = r
-            replies = [v]
-        elif r == best_val:
-            replies.append(v)
-    return tuple(replies)
+def _replies(search: _Search, start: int) -> tuple[int, ...]:
+    _who, found = search.optimal(*search.state(1 << start, 0))
+    return tuple(v for v, _child in found)
 
 
 def optimal_responses(
@@ -282,7 +293,7 @@ def optimal_responses(
         raise ValueError("responses need at least two vertices")
     if not 0 <= start < instance.vertex_count:
         raise ValueError(f"start vertex {start} does not exist")
-    return _replies(_Search(instance, policy), instance, start)
+    return _replies(_Search(instance, policy), start)
 
 
 def canonical_strategy(instance: Instance, policy: TiePolicy):
@@ -296,12 +307,8 @@ def canonical_strategy(instance: Instance, policy: TiePolicy):
     search = _Search(instance, policy)
 
     def strategy(_instance: Instance, state: GameState) -> int:
-        f, s = state.totals(instance)
-        reach = instance.reach_mask(state.taken_mask)
-        _who, vertex, _args = search.canonical_move(
-            state.first_mask, state.second_mask, f, s, reach
-        )
-        return vertex
+        _who, found = search.optimal(*search.state(state.first_mask, state.second_mask))
+        return found[0][0]
 
     return strategy
 
@@ -314,6 +321,5 @@ def response_map(instance: Instance, policy: TiePolicy) -> dict[int, int]:
         raise ValueError("response map needs at least two vertices")
     search = _Search(instance, policy)
     return {
-        start: _replies(search, instance, start)[0]
-        for start in range(instance.vertex_count)
+        start: _replies(search, start)[0] for start in range(instance.vertex_count)
     }

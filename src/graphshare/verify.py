@@ -485,11 +485,30 @@ _SUITES: dict[str, Callable[[int, dict], tuple[int, list, list]]] = {
 }
 
 
+def _check_param(suite: str, key: str, value, default) -> None:
+    """Reject an override whose type differs from its default's (an int
+    may stand for a Fraction), any size below 1 and a ``max_vertices``
+    below 2."""
+    prefix = f"parameter {key!r} of suite {suite!r} must be"
+    if type(default) is Fraction:
+        if type(value) not in (int, Fraction):
+            raise GraphShareError(f"{prefix} an int or a fraction, got {value!r}")
+        return
+    sizes = value if type(value) is tuple else (value,)
+    if type(value) is not type(default) or any(type(n) is not int for n in sizes):
+        kind = "a tuple of ints" if type(default) is tuple else "an int"
+        raise GraphShareError(f"{prefix} {kind}, got {value!r}")
+    floor = 2 if key == "max_vertices" else 1
+    if not sizes or min(sizes) < floor:
+        raise GraphShareError(f"{prefix} at least {floor}, got {value!r}")
+
+
 def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> SuiteReport:
     """Run one named suite deterministically and return its report.
 
     ``size_params`` overrides the suite's default sizes/thresholds; a
-    key the suite does not define raises GraphShareError.  The report
+    key the suite does not define, or a value of another type than the
+    default's or out of range, raises GraphShareError.  The report
     depends only on ``(name, seed, size_params)``.
     """
     if name not in _SUITES:
@@ -502,7 +521,14 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
             f"known parameters: {', '.join(params)}"
         )
     if size_params:
+        for key, value in size_params.items():
+            _check_param(name, key, value, params[key])
         params.update(size_params)
+    if params.get("weight_max", 0) < params.get("max_vertices", 0):
+        raise GraphShareError(
+            f"parameter 'weight_max' of suite {name!r} must be at least "
+            f"max_vertices={params['max_vertices']}"
+        )
     started = time.perf_counter()
     cases, failures, records = _SUITES[name](seed, params)
     elapsed = time.perf_counter() - started

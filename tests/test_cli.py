@@ -172,11 +172,34 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "edge-family", "--param", "k_max"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("param", ["cases=1/0", "cases=a/b", "cases=1,x"])
+    @pytest.mark.parametrize(
+        "param",
+        [
+            "cases=1/0",
+            "cases=a/b",
+            "cases=1,x",
+            # parsable, but of the wrong type or out of range
+            "cases=1,2",
+            "cases=1/2",
+            "cases=-3",
+            "m_values=1000",
+            "max_vertices=1",
+            "weight_max=3",
+            "alternate_iters=0",
+            "vertices=0",
+        ],
+    )
     def test_unparsable_param_value(self, param, capsys):
-        code = main(["verify", "--suite", "general-third", "--param", param])
+        key = param.split("=")[0]
+        suite = {
+            "m_values": "cycle7-family",
+            "alternate_iters": "tie-tree-search",
+            "vertices": "tie-tree-search",
+        }.get(key, "general-third")
+        code = main(["verify", "--suite", suite, "--param", param])
         assert code == EXIT_USAGE
-        assert_one_line_error(capsys)
+        err = assert_one_line_error(capsys)
+        assert "cannot parse" in err or repr(key) in err
 
     def test_unknown_param_key(self, capsys):
         code = main(["verify", "--suite", "edge-family", "--param", "bogus=3"])

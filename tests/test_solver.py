@@ -17,8 +17,10 @@ from graphshare.core import (
     TiePolicy,
     apply,
     legal_moves,
+    mover,
     play_out,
 )
+from graphshare.adversary import extract_forest
 from graphshare.generators import gen_cycle7_family
 from graphshare.solve import (
     canonical_strategy,
@@ -207,3 +209,41 @@ def test_lines_partition_all_vertices(inst):
         assert entry.line[0] == (Player.FIRST, entry.start)
         first_total = sum(inst.weights[v] for who, v in entry.line if who is Player.FIRST)
         assert Fraction(first_total, inst.total_weight) == entry.value
+
+
+@given(
+    inst=instances(max_n=7, weight_max=4),
+    policy=st.sampled_from((TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)),
+)
+@settings(max_examples=80)
+def test_views_agree_on_tied_play(inst, policy):
+    # small weights reach tied totals, where the tie policy picks the mover
+    report = solve(inst, policy)
+    replies = response_map(inst, policy)
+    for entry in report.per_start:
+        line = principal_line(inst, policy, entry.start)
+        assert entry.line == line
+        state = GameState()
+        for who, vertex in line:
+            assert mover(inst, state, policy) is who
+            state = apply(inst, state, vertex, policy)
+        first_reply = optimal_responses(inst, policy, entry.start)[0]
+        assert line[1][1] == first_reply == replies[entry.start]
+    strategy = canonical_strategy(inst, policy)
+    outcome = play_out(inst, policy, strategy, strategy)
+    assert outcome.move_log == report.per_start[report.best_start].line
+    for node in extract_forest(inst, policy).nodes():
+        if node.mover is not Player.SECOND:
+            continue
+        state = GameState(node.first_mask, node.second_mask)
+        value = value_from(inst, policy, state)
+        reply = min(
+            v
+            for v in legal_moves(inst, state)
+            if value_from(inst, policy, apply(inst, state, v, policy)) == value
+        )
+        (child,) = node.children
+        assert (child.first_mask, child.second_mask) == (
+            node.first_mask,
+            node.second_mask | 1 << reply,
+        )
