@@ -304,17 +304,30 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
         else:
             iters = args.iters if args.iters is not None else 2000
             result = hill_climb(shape, policy, seed=args.seed, iters=iters)
-        candidate = (result.value, index, result.instance, result.stop_reason)
+        candidate = (result.value, index, result)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
-    value, _index, instance, stop_reason = best
-    out.write(format_instance(instance))
-    out.write(f"value={format_fraction(value)}\n")
+    result = best[2]
+    if args.trace:
+        for record in result.trace:
+            candidate_text = (
+                "-"
+                if record.candidate_value is None
+                else format_fraction(record.candidate_value)
+            )
+            print(
+                f"trace.{record.iteration}.lp_bound={format_fraction(record.lp_bound)}"
+                f" candidate={candidate_text}"
+                f" best={format_fraction(record.best_value)}",
+                file=sys.stderr,
+            )
+    out.write(format_instance(result.instance))
+    out.write(f"value={format_fraction(result.value)}\n")
     out.write(f"method={args.method}\n")
     out.write(f"policy={policy.value}\n")
     out.write(f"shape={args.shape}\n")
     out.write(f"shapes_searched={len(shapes)}\n")
-    out.write(f"stop_reason={stop_reason}\n")
+    out.write(f"stop_reason={result.stop_reason}\n")
     if args.seed is not None:
         out.write(f"seed={args.seed}\n")
     return EXIT_OK
@@ -358,6 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--method", choices=("alt", "hill"), default="alt")
     p_adv.add_argument("--seed", type=int, default=None)
     p_adv.add_argument("--iters", type=int, default=None)
+    p_adv.add_argument(
+        "--trace",
+        action="store_true",
+        help="write the winning search's iteration records to stderr",
+    )
 
     return parser
 

@@ -70,10 +70,6 @@ class Player(Enum):
     FIRST = "F"
     SECOND = "S"
 
-    @property
-    def opponent(self) -> "Player":
-        return Player.SECOND if self is Player.FIRST else Player.FIRST
-
     def __str__(self) -> str:
         return "First" if self is Player.FIRST else "Second"
 
@@ -223,9 +219,6 @@ class GameState:
     @property
     def taken_mask(self) -> int:
         return self.first_mask | self.second_mask
-
-    def mask_of(self, player: Player) -> int:
-        return self.first_mask if player is Player.FIRST else self.second_mask
 
     def totals(self, instance: Instance) -> tuple[int, int]:
         return (

@@ -34,6 +34,11 @@ from .core import (
 BRUTE_VERTEX_CAP = 10
 AUDIT_EXHAUSTIVE_CAP = 8
 
+# An enum member lookup costs about ten global lookups on CPython 3.11;
+# the per-step loops below read these bindings instead.
+_FIRST, _SECOND = Player.FIRST, Player.SECOND
+_FORBID, _FIRST_MOVES = TiePolicy.FORBID, TiePolicy.FIRST_MOVES
+
 
 def _adjacency(instance: Instance) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(instance.vertex_count)}
@@ -55,7 +60,8 @@ def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
         raise ValueError(f"start vertex {start} does not exist")
     adj = _adjacency(instance)
     weights = instance.weights
-    forbid = policy is TiePolicy.FORBID
+    forbid = policy is _FORBID
+    first_on_tie = policy is _FIRST_MOVES
 
     def rec(first: frozenset[int], second: frozenset[int]) -> int:
         f = sum(weights[v] for v in first)
@@ -72,7 +78,7 @@ def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
         elif f > s:
             first_moves = False
         else:
-            first_moves = policy is TiePolicy.FIRST_MOVES
+            first_moves = first_on_tie
         frontier = {u for v in taken for u in adj[v]} - taken
         if first_moves:
             return max(rec(first | {v}, second) for v in frontier)
@@ -103,24 +109,27 @@ def _audit_one(
     instance: Instance, line: tuple[tuple[Player, int], ...], skipped: bool
 ) -> LineAudit:
     weights = instance.weights
-    totals = {Player.FIRST: 0, Player.SECOND: 0}
-    last = {Player.FIRST: None, Player.SECOND: None}
+    f = s = 0
+    last_f = last_s = None
     tie_steps = []
     worst = None
     worst_excess = None
     for step, (who, v) in enumerate(line):
-        tie_origin = totals[Player.FIRST] == totals[Player.SECOND]
+        tie_origin = f == s
         if tie_origin and step > 0:
             tie_steps.append(step)
-        totals[who] += weights[v]
-        last[who] = v
-        f = totals[Player.FIRST]
-        s = totals[Player.SECOND]
+        if who is _FIRST:
+            f += weights[v]
+            last_f = v
+        else:
+            s += weights[v]
+            last_s = v
         if f == s:
             continue
-        leader = Player.FIRST if f > s else Player.SECOND
-        lead = abs(f - s)
-        last_w = weights[last[leader]]
+        if f > s:
+            leader, lead, last_w = _FIRST, f - s, weights[last_f]
+        else:
+            leader, lead, last_w = _SECOND, s - f, weights[last_s]
         if lead < last_w:
             continue
         if lead == last_w and tie_origin and who is leader:
@@ -163,10 +172,11 @@ def audit_lines(
         )
     adj = _adjacency(instance)
     weights = instance.weights
-    forbid = policy is TiePolicy.FORBID
+    forbid = policy is _FORBID
+    on_tie = _FIRST if policy is _FIRST_MOVES else _SECOND
     rng = random.Random(seed) if line_limit is not None else None
     audits: list[LineAudit] = []
-    prefix: list[tuple[Player, int]] = [(Player.FIRST, start)]
+    prefix: list[tuple[Player, int]] = [(_FIRST, start)]
 
     def walk(first: frozenset[int], second: frozenset[int]) -> None:
         if line_limit is not None and len(audits) >= line_limit:
@@ -184,21 +194,17 @@ def audit_lines(
             audits.append(_audit_one(instance, tuple(prefix), skipped=True))
             return
         if f < s:
-            who = Player.FIRST
+            who = _FIRST
         elif f > s:
-            who = Player.SECOND
+            who = _SECOND
         else:
-            who = (
-                Player.FIRST
-                if policy is TiePolicy.FIRST_MOVES
-                else Player.SECOND
-            )
+            who = on_tie
         frontier = sorted({u for v in taken for u in adj[v]} - taken)
         if rng is not None:
             rng.shuffle(frontier)
         for v in frontier:
             prefix.append((who, v))
-            if who is Player.FIRST:
+            if who is _FIRST:
                 walk(first | {v}, second)
             else:
                 walk(first, second | {v})

@@ -1,10 +1,14 @@
 """Exact memoized solver for the sharing game.
 
 First maximizes the final weight they hold, Second minimizes it; the
-game is zero-sum, so one number per state settles both sides.  States
-are memoized on the pair of holding bitmasks (the mover is re-derived
-from the totals, never stored).  All values are exact: the search works
-in integer weight and converts to a fraction of the total at the edges.
+game is zero-sum, so one number per state settles both sides.  The
+player with the smaller total moves, so what is still to come depends
+only on the taken set and the signed gap ``f - s``: the value search
+memoizes the weight First still collects under that pair, packed into
+one int, which merges states that split the same taken set differently
+(see ``_Search`` for the width rule).  All values are exact: the search
+works in integer weight and converts to a fraction of the total at the
+edges.
 
 The search expands every child of every reached state, which also makes
 tie detection exact under the forbid policy: solving raises
@@ -12,8 +16,9 @@ TieEncounteredError iff equal totals occur at any reachable nonempty
 state, including an exactly tied final split.
 
 One engine, ``_Search``, serves every view: its two expanders are
-``best`` (the value search) and ``optimal`` (the mover and its
-value-optimal moves, lowest vertex id first).  Lines, replies, the
+``gain`` (the value search; ``best`` adds the current total) and
+``optimal`` (the mover and its value-optimal moves, lowest vertex id
+first).  Lines, replies, the
 canonical strategy and the adversary's scenario forest are thin views
 over them and over one shared memo per call.
 """
@@ -55,11 +60,22 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
     masks, their totals and the union of the taken vertices' neighbor
-    masks.  Two expanders read it: ``best``, the value search, and
+    masks.  Two expanders read it: ``gain``, the value search, and
     ``optimal``, the mover with its value-optimal moves.  ``branches``
     picks the moves the scenario forest follows, and every view in this
     module and ``adversary.extract_forest`` is built on these.  The
-    totals' comparison is inline; equal totals go to ``core.mover_at``.
+    sign of the gap ``f - s`` names the mover; a zero gap goes to
+    ``core.mover_at``.
+
+    ``gain`` memoizes First's future gain, which depends only on the
+    taken set and the gap ``d``, under the one-int key
+    ``(d << n) | taken``: states that split one taken set differently
+    with equal totals share an entry.  That key is used only while it
+    fits one 30-bit CPython digit, ``total_weight < 2**(30 - n)``,
+    decided once per search.  Heavier weights seldom repeat a gap, so
+    there the key would merge little and cost a multi-digit int; such
+    searches keep the finer pair key ``(fm << n) | sm`` with the same
+    stored values.
     """
 
     def __init__(self, instance: Instance, policy: TiePolicy):
@@ -69,6 +85,8 @@ class _Search:
         self.nbr = instance.neighbor_masks
         self.full = instance.full_mask
         self.shift = instance.vertex_count
+        self.total = instance.total_weight
+        self.gap_key = self.total.bit_length() + self.shift <= 30
         self.forbid = policy is TiePolicy.FORBID
         self.memo: dict[int, int] = {}
 
@@ -79,42 +97,47 @@ class _Search:
 
     def best(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
         """Final First total under optimal play from (fm, sm)."""
+        return f + self.gain(fm, sm, f - s, reach)
+
+    def gain(self, fm: int, sm: int, d: int, reach: int) -> int:
+        """Weight First still collects under optimal play from (fm, sm),
+        where ``d`` is the gap ``f - s``."""
         taken = fm | sm
         if taken == self.full:
-            if self.forbid and f == s:
+            if self.forbid and d == 0:
                 raise TieEncounteredError(fm, sm)
-            return f
-        key = (fm << self.shift) | sm
+            return 0
+        if self.gap_key:
+            key = (d << self.shift) | taken
+        else:
+            key = (fm << self.shift) | sm
         memo = self.memo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if f < s:
-            first_moves = True
-        elif f > s:
-            first_moves = False
-        else:
-            first_moves = mover_at(fm, sm, f, s, self.policy) is FIRST
-        moves = self.full if taken == 0 else reach & ~taken
+        m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
         nbr = self.nbr
-        best_val = -1 if first_moves else None
-        m = moves
-        if first_moves:
+        # a zero gap means equal totals, which mover_at settles
+        if d < 0 or (d == 0 and mover_at(fm, sm, 0, 0, self.policy) is FIRST):
+            best_val = -1
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
+                w = weights[v]
+                r = w + self.gain(fm | low, sm, d + w, reach | nbr[v])
                 if r > best_val:
                     best_val = r
         else:
+            best_val = self.total  # no future gain exceeds the total
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
-                if best_val is None or r < best_val:
+                w = weights[v]
+                r = self.gain(fm, sm | low, d - w, reach | nbr[v])
+                if r < best_val:
                     best_val = r
         memo[key] = best_val
         return best_val
@@ -133,31 +156,34 @@ class _Search:
         m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
         nbr = self.nbr
+        d = f - s
         found = None
         if first_moves:
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
+                w = weights[v]
+                r = w + self.gain(fm | low, sm, d + w, reach | nbr[v])
                 if found is None or r > best_val:
                     best_val = r
                     found = []
                 elif r != best_val:
                     continue
-                found.append((v, (fm | low, sm, f + weights[v], s, reach | nbr[v])))
+                found.append((v, (fm | low, sm, f + w, s, reach | nbr[v])))
             return FIRST, found
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
+            w = weights[v]
+            r = self.gain(fm, sm | low, d - w, reach | nbr[v])
             if found is None or r < best_val:
                 best_val = r
                 found = []
             elif r != best_val:
                 continue
-            found.append((v, (fm, sm | low, f, s + weights[v], reach | nbr[v])))
+            found.append((v, (fm, sm | low, f, s + w, reach | nbr[v])))
         return SECOND, found
 
     def branches(self, fm: int, sm: int, f: int, s: int, reach: int):
@@ -201,8 +227,11 @@ class SolveReport:
     """Per-opening values and canonical lines, plus the game value.
 
     ``value`` is the best per-opening value; ``best_start`` is the lowest
-    vertex id attaining it.  ``state_count`` is the number of memoized
-    states, a search-size diagnostic.
+    vertex id attaining it.  ``state_count`` is the number of memo
+    entries, a search-size diagnostic: distinct (taken set, gap) pairs
+    when the total weight is below ``2**(30 - n)``, distinct holding
+    pairs otherwise, so it shrinks on small weights where many splits
+    of one taken set share a gap.
     """
 
     per_start: tuple[StartResult, ...]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,25 @@ class TestAdversaryCommand:
         out = capsys.readouterr().out
         assert "seed=1" in out
         assert "stop_reason=iters" in out
+
+    def test_trace_writes_records_to_stderr_only(self, capsys):
+        argv = ["adversary", "--shape", "edge", "--method", "alt"]
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main(argv + ["--trace"]) == EXIT_OK
+        traced = capsys.readouterr()
+        assert traced.out == plain.out
+        assert plain.err == ""
+        records = traced.err.splitlines()
+        assert records
+        pattern = r"trace\.(\d+)\.lp_bound=\d+/\d+ candidate=(\d+/\d+|-) best=(\d+/\d+)"
+        matches = [re.fullmatch(pattern, line) for line in records]
+        assert all(matches)
+        assert [int(m.group(1)) for m in matches] == list(range(len(records)))
+        value = dict(
+            line.split("=", 1) for line in plain.out.splitlines() if "=" in line
+        )["value"]
+        assert matches[-1].group(3) == value
 
     def test_bad_shape(self, capsys):
         assert main(["adversary", "--shape", "grid:3"]) == EXIT_USAGE

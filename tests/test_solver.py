@@ -22,7 +22,9 @@ from graphshare.core import (
 )
 from graphshare.adversary import extract_forest
 from graphshare.generators import gen_cycle7_family
+from graphshare.oracle import brute_value
 from graphshare.solve import (
+    _Search,
     canonical_strategy,
     format_line,
     optimal_responses,
@@ -247,3 +249,59 @@ def test_views_agree_on_tied_play(inst, policy):
             node.first_mask,
             node.second_mask | 1 << reply,
         )
+
+
+def _solve_outcome(inst, policy):
+    """Per-start values and lines with the state count, or the tie state."""
+    try:
+        report = solve(inst, policy)
+    except TieEncounteredError as exc:
+        return ("tie", exc.first_mask, exc.second_mask), None
+    per_start = [(e.start, e.value, e.line) for e in report.per_start]
+    return ("ok", per_start), report.state_count
+
+
+@given(inst=instances(max_n=7, weight_max=4))
+@settings(max_examples=80)
+def test_gap_key_matches_pair_key(inst):
+    # scaling by 2**(30 - n) keeps every value, line and tied state but
+    # pushes the total past the gap key's width, onto the pair key
+    scale = 1 << (30 - inst.vertex_count)
+    scaled = Instance(tuple(w * scale for w in inst.weights), inst.edges)
+    assert _Search(inst, TiePolicy.FORBID).gap_key
+    assert not _Search(scaled, TiePolicy.FORBID).gap_key
+    for policy in ALL_POLICIES:
+        outcome, states = _solve_outcome(inst, policy)
+        scaled_outcome, scaled_states = _solve_outcome(scaled, policy)
+        assert outcome == scaled_outcome
+        if states is not None:
+            assert states <= scaled_states
+
+
+def test_gap_key_merges_splits_of_one_taken_set():
+    inst = path([1] * 8)
+    scaled = path([1 << 22] * 8)
+    for policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES):
+        assert solve(inst, policy).state_count < solve(scaled, policy).state_count
+
+
+@given(inst=instances(max_n=7, weight_max=3))
+@settings(max_examples=60)
+def test_small_weight_values_match_brute_force(inst):
+    # weights <= 3 make many splits of a taken set share a gap, so most
+    # states are reached through a memo hit from another split
+    for policy in ALL_POLICIES:
+        try:
+            report = solve(inst, policy)
+        except TieEncounteredError:
+            assert policy is TiePolicy.FORBID
+            raised = 0
+            for start in range(inst.vertex_count):
+                try:
+                    brute_value(inst, policy, start)
+                except TieEncounteredError:
+                    raised += 1
+            assert raised
+            continue
+        for entry in report.per_start:
+            assert entry.value == brute_value(inst, policy, entry.start)
