@@ -15,6 +15,11 @@ the LP number is never reported as a game value.
 Under a tie-resolving policy the forest marks nodes reached at exactly
 equal totals; those become equality constraints, which lets the LP
 engineer the forced-move ties that push tree values below one half.
+
+The LP's weight floor ``EPSILON_FLOOR`` and strict-inequality slack
+``MARGIN`` are fixed constants.  A candidate that a forbidden tie blocks
+is certified through its tie-free lift at ``LIFT_FINENESS``, whose
+relative perturbation stays below the weight floor.
 """
 
 from __future__ import annotations
@@ -30,14 +35,17 @@ from .core import (
     Player,
     TiePolicy,
     TieEncounteredError,
+    bits,
 )
-from .simplex import LPInfeasibleError, solve_lp
+from .generators import gen_cycle7_family
+from .simplex import solve_lp
 from .solve import _Search, solve
 
 ALTERNATE_VERTEX_CAP = 10
 HILL_VERTEX_CAP = 12
-DEFAULT_EPSILON_FLOOR = Fraction(1, 10**6)
-DEFAULT_MARGIN = Fraction(1, 10**9)
+EPSILON_FLOOR = Fraction(1, 10**6)
+MARGIN = Fraction(1, 10**9)
+LIFT_FINENESS = round(1 / EPSILON_FLOOR)
 IMPROVEMENT_EPS = Fraction(1, 10**9)
 
 
@@ -67,20 +75,22 @@ class GraphShape:
 
 
 def tree_shapes(n: int):
-    """All trees on n vertices up to isomorphism, in a fixed order."""
+    """All trees on n vertices up to isomorphism, in a fixed order.
+
+    Rejects n < 1 at the call; the trees themselves come lazily, so a
+    caller can fail a size check before any enumeration work."""
     import networkx as nx
 
     if n < 1:
         raise ValueError(f"a tree needs at least 1 vertex, got {n}")
     if n == 1:
-        yield GraphShape(1, ())
-        return
+        return iter([GraphShape(1, ())])
     if n == 2:
-        yield GraphShape.single_edge()
-        return
-    for g in nx.nonisomorphic_trees(n):
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
-        yield GraphShape(n, edges)
+        return iter([GraphShape.single_edge()])
+    return (
+        GraphShape(n, tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges())))
+        for g in nx.nonisomorphic_trees(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -166,58 +176,26 @@ def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioFo
     )
 
 
-def _cycle_order(shape: GraphShape) -> tuple[int, ...] | None:
-    """Vertex order around the cycle if the shape is a simple cycle."""
-    n = shape.vertex_count
-    if n < 3 or len(shape.edges) != n:
-        return None
-    nbrs: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in shape.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if any(len(adj) != 2 for adj in nbrs.values()):
-        return None
-    order = [0, min(nbrs[0])]
-    while len(order) < n:
-        prev, cur = order[-2], order[-1]
-        nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
-        if nxt == 0:
-            return None
-        order.append(nxt)
-    return tuple(order) if 0 in nbrs[order[-1]] else None
-
-
-# Reference layout for the gated-spider tree: center 0, two pendant
-# leaves 1-2 on the center, three legs 0-3-6, 0-4-7, 0-5-8 whose middle
-# vertices gate heavy tips.  Under a tie-resolving policy the near-tied
-# supports force the opener to commit first at every simultaneous
-# finish; the closer then hovers just behind and collects two of the
-# three heavy tips, so the value falls toward 1/3 as the scale grows.
-_GATED_SPIDER_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (3, 6), (4, 7), (5, 8))
-
-
-def _gated_spider_weights(scale: int) -> tuple[int, ...]:
-    return (3, 3, 3, 8, 1, 2, scale + 30, scale + 2, scale + 2)
-
-
-def _gated_spider_layout(shape: GraphShape) -> dict[int, int] | None:
-    """Map shape vertices onto the gated-spider reference labels, if the
-    shape is that tree under some relabeling."""
-    if shape.vertex_count != 9 or len(shape.edges) != 8:
-        return None
-    import networkx as nx
-    from networkx.algorithms.isomorphism import GraphMatcher
-
-    graph = nx.Graph(shape.edges)
-    graph.add_nodes_from(range(9))
-    matcher = GraphMatcher(graph, nx.Graph(_GATED_SPIDER_EDGES))
-    if not matcher.is_isomorphic():
-        return None
-    return dict(matcher.mapping)
+# Known-hard weight layouts as (reference edges, reference weights).
+# The seven-cycle carries the 7-cycle family at M=1000.  The gated-spider
+# tree has center 0, two pendant leaves 1-2 on the center, and three legs
+# 0-3-6, 0-4-7, 0-5-8 whose middle vertices gate heavy tips.  Under a
+# tie-resolving policy its near-tied supports force the opener to commit
+# first at every simultaneous finish; the closer then hovers just behind
+# and collects two of the three heavy tips, so the value falls toward
+# 1/3 as the tip scale (1000 here) grows.
+_CYCLE7 = gen_cycle7_family(1000)
+_KNOWN_LAYOUTS = (
+    (_CYCLE7.edges, _CYCLE7.weights),
+    (
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (3, 6), (4, 7), (5, 8)),
+        (3, 3, 3, 8, 1, 2, 1030, 1002, 1002),
+    ),
+)
 
 
 def _known_seeds(shape: GraphShape) -> list[tuple[int, ...]]:
-    """Known-hard weight layouts for recognized shapes.
+    """Known-hard weight layouts for shapes isomorphic to a reference.
 
     The search ladder starts from these when the shape matches: the
     seven-cycle admits a three-heavy layout whose scenario the LP then
@@ -228,19 +206,21 @@ def _known_seeds(shape: GraphShape) -> list[tuple[int, ...]]:
     is to rederive optimal weights from a good scenario, so the ladder
     plants the scenario and the LP does the numeric work."""
     seeds: list[tuple[int, ...]] = []
-    order = _cycle_order(shape)
-    if order is not None and shape.vertex_count == 7:
-        from .generators import gen_cycle7_family
+    n = shape.vertex_count
+    for edges, weights in _KNOWN_LAYOUTS:
+        if n != len(weights) or len(shape.edges) != len(edges):
+            continue
+        import networkx as nx
+        from networkx.algorithms.isomorphism import GraphMatcher
 
-        family = gen_cycle7_family(1000).weights
-        laid = [0] * 7
-        for pos, vertex in enumerate(order):
-            laid[vertex] = family[pos]
-        seeds.append(tuple(laid))
-    layout = _gated_spider_layout(shape)
-    if layout is not None:
-        reference = _gated_spider_weights(1000)
-        seeds.append(tuple(reference[layout[v]] for v in range(9)))
+        # Vertices enter in id order, so the matcher lays a cycle out from
+        # vertex 0 toward its smaller neighbour whatever the edge order.
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(shape.edges)
+        matcher = GraphMatcher(graph, nx.Graph(edges))
+        if matcher.is_isomorphic():
+            seeds.append(tuple(weights[matcher.mapping[v]] for v in range(n)))
     return seeds
 
 
@@ -269,72 +249,45 @@ def _start_ladder(shape: GraphShape, policy: TiePolicy) -> list[tuple[int, ...]]
 
 
 def _mask_coeffs(n: int, plus: int, minus: int, extra: int = 0):
-    row = [0] * (n + 1)
-    mask = plus
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        row[low.bit_length() - 1] += 1
-    mask = minus
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        row[low.bit_length() - 1] -= 1
-    row[n] = extra
+    """Row +1 on ``plus``, -1 on ``minus`` (disjoint masks), ``extra`` on t."""
+    row = [0] * n + [extra]
+    for v in bits(plus | minus):
+        row[v] = 1 if plus >> v & 1 else -1
     return row
 
 
-def lp_minimize(
-    forest: AnnotatedScenarioForest,
-    epsilon_floor: Fraction = DEFAULT_EPSILON_FLOOR,
-    margin: Fraction = DEFAULT_MARGIN,
-):
+def lp_minimize(forest: AnnotatedScenarioForest):
     """Minimize the max leaf First-total consistent with the annotations.
 
     Variables are the vertex weights (normalized to sum 1, floored at
-    ``epsilon_floor``) and the bound t.  Mover annotations become strict
-    inequalities with ``margin`` slack, except on the side a tie policy
+    ``EPSILON_FLOOR``) and the bound t.  Mover annotations become strict
+    inequalities with ``MARGIN`` slack, except on the side a tie policy
     hands the move to, where slack 0 is enough; tied nodes become exact
-    equalities.  Returns (weights as exact fractions, t).
+    equalities.  Each forest node is one state, so each gives one row.
+    Returns (weights as exact fractions, t).
 
     Solved by row generation over an exact rational simplex: only
     violated constraints enter the working LP, and the returned point is
     feasible for the full system, hence exactly optimal.
     """
     n = forest.vertex_count
-    eps = Fraction(epsilon_floor)
-    delta = Fraction(margin)
-    if n * eps > 1:
-        raise LPInfeasibleError("epsilon floor exceeds the weight budget")
+    eps = EPSILON_FLOOR
     # First needs strict slack except when ties hand First the move anyway.
-    first_slack = Fraction(0) if forest.policy is TiePolicy.FIRST_MOVES else delta
-    second_slack = Fraction(0) if forest.policy is TiePolicy.SECOND_MOVES else delta
+    first_slack = Fraction(0) if forest.policy is TiePolicy.FIRST_MOVES else MARGIN
+    second_slack = Fraction(0) if forest.policy is TiePolicy.SECOND_MOVES else MARGIN
     # variables: x_v = w_v - eps for each vertex, then t
-    a_eq = [_mask_coeffs(n, 0, 0)]
-    a_eq[0][:n] = [1] * n
+    a_eq = [[1] * n + [0]]
     b_eq = [1 - n * eps]
     ub_rows: list[tuple[list, Fraction]] = []
-    seen_keys: set = set()
     for node in forest.nodes():
         fm, sm = node.first_mask, node.second_mask
         f_count = fm.bit_count()
-        s_count = sm.bit_count()
         if node.terminal:
-            key = ("leaf", fm)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                ub_rows.append(
-                    (_mask_coeffs(n, fm, 0, -1), -f_count * eps)
-                )
+            ub_rows.append((_mask_coeffs(n, fm, 0, -1), -f_count * eps))
             continue
-        key = ("mover", fm, sm)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        balance = (s_count - f_count) * eps
+        balance = (sm.bit_count() - f_count) * eps
         if node.tied:
-            row = _mask_coeffs(n, fm, sm)
-            a_eq.append(row)
+            a_eq.append(_mask_coeffs(n, fm, sm))
             b_eq.append(balance)
         elif node.mover is Player.FIRST:
             ub_rows.append((_mask_coeffs(n, fm, sm), balance - first_slack))
@@ -386,8 +339,12 @@ class AdversaryResult:
     stop_reason: str
 
 
-def _certify(instance: Instance, policy: TiePolicy) -> Fraction:
-    return solve(instance, policy).value
+def _certified(instance: Instance, policy: TiePolicy) -> Fraction | None:
+    """The exact value, or None when a forbidden tie blocks play."""
+    try:
+        return solve(instance, policy).value
+    except TieEncounteredError:
+        return None
 
 
 def _tie_free_lift(weights: tuple[int, ...], fineness: int = 1) -> tuple[int, ...]:
@@ -403,34 +360,21 @@ def _tie_free_lift(weights: tuple[int, ...], fineness: int = 1) -> tuple[int, ..
     return tuple(w * scale + (1 << v) for v, w in enumerate(weights))
 
 
-def _certify_candidate(
-    shape: GraphShape,
-    weights: tuple[int, ...],
-    policy: TiePolicy,
-    epsilon_floor: Fraction = DEFAULT_EPSILON_FLOOR,
-):
-    """Exact value of the candidate weights; when a forbidden tie blocks
-    play, certify a tie-free lift whose relative perturbation stays
-    below the epsilon floor."""
+def _certify_candidate(shape: GraphShape, weights: tuple[int, ...], policy: TiePolicy):
+    """The candidate instance and its exact value; when a forbidden tie
+    blocks play, its tie-free lift at ``LIFT_FINENESS`` instead."""
     instance = shape.instance(weights)
-    try:
-        return instance, _certify(instance, policy)
-    except TieEncounteredError:
-        pass
-    fineness = max(2, round(1 / Fraction(epsilon_floor)))
-    candidate = shape.instance(_tie_free_lift(weights, fineness))
-    try:
-        return candidate, _certify(candidate, policy)
-    except TieEncounteredError:  # pragma: no cover - lift is tie-free
-        return instance, None
+    value = _certified(instance, policy)
+    if value is None:
+        instance = shape.instance(_tie_free_lift(weights, LIFT_FINENESS))
+        value = _certified(instance, policy)
+    return instance, value
 
 
 def alternate_optimize(
     shape: GraphShape,
     policy: TiePolicy,
     max_iters: int = 40,
-    epsilon_floor: Fraction = DEFAULT_EPSILON_FLOOR,
-    margin: Fraction = DEFAULT_MARGIN,
     initial_weights: tuple[int, ...] | None = None,
 ) -> AdversaryResult:
     """Alternate exact solving, forest extraction, and LP minimization.
@@ -459,7 +403,7 @@ def alternate_optimize(
     stop_reason = "converged"
     iteration = 0
     for start in ladder:
-        current, start_value = _certify_candidate(shape, start, policy, epsilon_floor)
+        current, start_value = _certify_candidate(shape, start, policy)
         if start_value is None:
             continue
         if best_value is None or start_value < best_value:
@@ -475,10 +419,10 @@ def alternate_optimize(
             if signature in seen_signatures:
                 break
             seen_signatures.add(signature)
-            lp_weights, lp_bound = lp_minimize(forest, epsilon_floor, margin)
+            lp_weights, lp_bound = lp_minimize(forest)
             candidate_weights = _integerize(lp_weights)
             candidate, candidate_value = _certify_candidate(
-                shape, candidate_weights, policy, epsilon_floor
+                shape, candidate_weights, policy
             )
             improvement = Fraction(0)
             if candidate_value is not None and candidate_value < best_value:
@@ -541,22 +485,15 @@ def hill_climb(
     tie_seeking = policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)
 
     def certify(w):
-        try:
-            return _certify(shape.instance(w), policy)
-        except TieEncounteredError:
-            return None
+        return _certified(shape.instance(w), policy)
 
-    bases = list(_start_ladder(shape, policy))
+    bases = _start_ladder(shape, policy)
     bases.append(tuple(rng.randint(1, max(4, 4 * n)) for _ in range(n)))
-    lift_fineness = max(2, round(1 / DEFAULT_EPSILON_FLOOR))
     best_weights, best_value = None, None
     for base in bases:
-        for candidate in (base, _tie_free_lift(base, lift_fineness)):
-            value = certify(candidate)
-            if value is not None:
-                if best_value is None or value < best_value:
-                    best_weights, best_value = candidate, value
-                break
+        instance, value = _certify_candidate(shape, base, policy)
+        if value is not None and (best_value is None or value < best_value):
+            best_weights, best_value = instance.weights, value
     weights, value = best_weights, best_value
     trace = [
         IterationRecord(

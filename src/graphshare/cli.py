@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import IO
+from typing import IO, Iterable
 
 from .adversary import (
     GraphShape,
@@ -272,7 +272,10 @@ def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
 # adversary
 
 
-def _parse_shapes(token: str) -> list[GraphShape]:
+def _parse_shapes(token: str) -> Iterable[GraphShape]:
+    """The shapes a ``--shape`` token names.  Tree enumeration stays
+    lazy, so a search's size cap rejects the first tree before the rest
+    are built."""
     name, _, rest = token.partition(":")
     try:
         if name == "cycle7":
@@ -282,7 +285,7 @@ def _parse_shapes(token: str) -> list[GraphShape]:
         if name == "edge":
             return [GraphShape.single_edge()]
         if name == "tree-enum":
-            return list(tree_shapes(int(rest)))
+            return tree_shapes(int(rest))
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad --shape argument {token!r}: {exc}") from exc
     raise _UsageError(
@@ -296,17 +299,21 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     policy = TiePolicy.from_token(args.policy)
     if args.method == "hill" and args.seed is None:
         raise _UsageError("--seed is required for method hill")
+    if args.iters is not None and args.iters < 1:
+        raise _UsageError(f"--iters must be at least 1, got {args.iters}")
     best = None
-    for index, shape in enumerate(shapes):
+    searched = 0
+    for shape in shapes:
         if args.method == "alt":
             iters = args.iters if args.iters is not None else 40
             result = alternate_optimize(shape, policy, max_iters=iters)
         else:
             iters = args.iters if args.iters is not None else 2000
             result = hill_climb(shape, policy, seed=args.seed, iters=iters)
-        candidate = (result.value, index, result)
+        candidate = (result.value, searched, result)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
+        searched += 1
     result = best[2]
     if args.trace:
         for record in result.trace:
@@ -326,7 +333,7 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     out.write(f"method={args.method}\n")
     out.write(f"policy={policy.value}\n")
     out.write(f"shape={args.shape}\n")
-    out.write(f"shapes_searched={len(shapes)}\n")
+    out.write(f"shapes_searched={searched}\n")
     out.write(f"stop_reason={result.stop_reason}\n")
     if args.seed is not None:
         out.write(f"seed={args.seed}\n")
@@ -394,16 +401,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, sys.stdout)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TieEncounteredError:
         print("aborted: totals tied under the forbid policy", file=sys.stderr)
         return EXIT_TIE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphShareError as exc:
+    except (_UsageError, GraphShareError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -106,9 +106,7 @@ def gen_random_connected(
 
 
 def resample_on_tie(
-    generator_call: Callable[[int], Instance],
-    policy: TiePolicy = TiePolicy.FORBID,
-    attempts: int = 50,
+    generator_call: Callable[[int], Instance], attempts: int = 50
 ) -> tuple[Instance, int]:
     """Draw instances until one solves tie-free under the forbid policy.
 
@@ -116,8 +114,6 @@ def resample_on_tie(
     the seed with k).  Returns the accepted instance and the number of
     rejected draws; raises ExhaustedAttemptsError when every attempt ties.
     """
-    if policy is not TiePolicy.FORBID:
-        raise ValueError("resampling only makes sense under the forbid policy")
     for attempt in range(attempts):
         candidate = generator_call(attempt)
         try:

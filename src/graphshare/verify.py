@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .adversary import GraphShape, alternate_optimize, hill_climb, tree_shapes
+from .adversary import ALTERNATE_VERTEX_CAP, alternate_optimize, hill_climb, tree_shapes
 from .core import GraphShareError, Instance, Player, TiePolicy
 from .generators import (
     gen_cycle7_family,
@@ -40,18 +40,7 @@ from .solve import (
     solve,
 )
 
-SUITE_NAMES = (
-    "general-third",
-    "tree-half",
-    "mutual-edge",
-    "lead-invariant",
-    "oracle-equivalence",
-    "cycle7-family",
-    "edge-family",
-    "tie-tree-search",
-)
-
-_ALL_POLICIES = (TiePolicy.FORBID, TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)
+_ALL_POLICIES = tuple(TiePolicy)
 
 
 class UnknownSuiteError(GraphShareError):
@@ -145,7 +134,7 @@ def _subseeds(seed: int, count: int) -> list[int]:
 
 
 def _tie_free(builder: Callable[[int], Instance]) -> Instance:
-    instance, _rejected = resample_on_tie(builder, TiePolicy.FORBID, attempts=50)
+    instance, _rejected = resample_on_tie(builder)
     return instance
 
 
@@ -417,6 +406,12 @@ def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
     either way.
     """
     vertices = params["vertices"]
+    if vertices > ALTERNATE_VERTEX_CAP:
+        raise GraphShareError(
+            f"parameter 'vertices' of suite 'tie-tree-search' must be at most "
+            f"{ALTERNATE_VERTEX_CAP}, the alternating search's vertex cap; "
+            f"got {vertices}"
+        )
     threshold = params["threshold"]
     stretch = params["stretch"]
     policy = TiePolicy.FIRST_MOVES
@@ -455,34 +450,45 @@ def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
     return len(shapes), failures, records
 
 
-_DEFAULTS: dict[str, dict] = {
-    "general-third": {"cases": 1000, "max_vertices": 14, "weight_max": 10**9},
-    "tree-half": {"cases": 500, "max_vertices": 12, "weight_max": 10**9},
-    "mutual-edge": {"cases": 500, "max_vertices": 12, "weight_max": 10**9},
-    "lead-invariant": {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
-    "oracle-equivalence": {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
-    "cycle7-family": {"m_values": (1000, 100000)},
-    "edge-family": {"k_max": 50},
-    "tie-tree-search": {
-        "vertices": 9,
-        "hill_iters": 25,
-        "alternate_iters": 12,
-        "refine_top": 2,
-        "threshold": Fraction(36, 100),
-        "stretch": Fraction(35, 100),
-    },
+# Suite name -> (suite function, default sizes and thresholds), in the
+# order reports list them.
+_SUITES: dict[str, tuple[Callable[[int, dict], tuple[int, list, list]], dict]] = {
+    "general-third": (
+        _suite_general_third,
+        {"cases": 1000, "max_vertices": 14, "weight_max": 10**9},
+    ),
+    "tree-half": (
+        _suite_tree_half,
+        {"cases": 500, "max_vertices": 12, "weight_max": 10**9},
+    ),
+    "mutual-edge": (
+        _suite_mutual_edge,
+        {"cases": 500, "max_vertices": 12, "weight_max": 10**9},
+    ),
+    "lead-invariant": (
+        _suite_lead_invariant,
+        {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
+    ),
+    "oracle-equivalence": (
+        _suite_oracle_equivalence,
+        {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
+    ),
+    "cycle7-family": (_suite_cycle7_family, {"m_values": (1000, 100000)}),
+    "edge-family": (_suite_edge_family, {"k_max": 50}),
+    "tie-tree-search": (
+        _suite_tie_tree_search,
+        {
+            "vertices": 9,
+            "hill_iters": 25,
+            "alternate_iters": 12,
+            "refine_top": 2,
+            "threshold": Fraction(36, 100),
+            "stretch": Fraction(35, 100),
+        },
+    ),
 }
 
-_SUITES: dict[str, Callable[[int, dict], tuple[int, list, list]]] = {
-    "general-third": _suite_general_third,
-    "tree-half": _suite_tree_half,
-    "mutual-edge": _suite_mutual_edge,
-    "lead-invariant": _suite_lead_invariant,
-    "oracle-equivalence": _suite_oracle_equivalence,
-    "cycle7-family": _suite_cycle7_family,
-    "edge-family": _suite_edge_family,
-    "tie-tree-search": _suite_tie_tree_search,
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _check_param(suite: str, key: str, value, default) -> None:
@@ -513,7 +519,8 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
     """
     if name not in _SUITES:
         raise UnknownSuiteError(name)
-    params = dict(_DEFAULTS[name])
+    suite, defaults = _SUITES[name]
+    params = dict(defaults)
     unknown = sorted(set(size_params or ()) - set(params))
     if unknown:
         raise GraphShareError(
@@ -530,7 +537,7 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
             f"max_vertices={params['max_vertices']}"
         )
     started = time.perf_counter()
-    cases, failures, records = _SUITES[name](seed, params)
+    cases, failures, records = suite(seed, params)
     elapsed = time.perf_counter() - started
     failures = tuple(sorted(failures, key=lambda f: f.case_id))
     return SuiteReport(

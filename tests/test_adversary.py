@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphshare.adversary import (
     ALTERNATE_VERTEX_CAP,
+    EPSILON_FLOOR,
     HILL_VERTEX_CAP,
+    MARGIN,
     AdversaryResult,
     GraphShape,
     IterationRecord,
+    _known_seeds,
     _tie_free_lift,
     alternate_optimize,
     extract_forest,
@@ -27,6 +32,7 @@ from graphshare.core import (
     Player,
     TieEncounteredError,
     TiePolicy,
+    bits,
 )
 from graphshare.generators import gen_cycle7_family
 from graphshare.solve import solve
@@ -124,7 +130,50 @@ class TestExtractForest:
         assert a.signature() == b.signature()
 
 
+def assert_rows_hold(forest, weights, bound):
+    """Every node's row holds at the LP's point: a leaf's First total is
+    at most the bound, a tied node is an equality, and a mover keeps its
+    side strictly behind by MARGIN, or by 0 where the policy hands it the
+    move at a tie."""
+    assert sum(weights) == 1
+    assert all(w >= EPSILON_FLOOR for w in weights)
+    first_slack = 0 if forest.policy is TiePolicy.FIRST_MOVES else MARGIN
+    second_slack = 0 if forest.policy is TiePolicy.SECOND_MOVES else MARGIN
+    for node in forest.nodes():
+        f = sum(weights[v] for v in bits(node.first_mask))
+        s = sum(weights[v] for v in bits(node.second_mask))
+        if node.terminal:
+            assert f <= bound
+        elif node.tied:
+            assert f == s
+        elif node.mover is Player.FIRST:
+            assert f + first_slack <= s
+        else:
+            assert s + second_slack <= f
+
+
 class TestLPMinimize:
+    @pytest.mark.parametrize(
+        "instance, policy",
+        [
+            (gen_cycle7_family(1000), TiePolicy.FORBID),
+            (SPIDER.instance(SPIDER_SEED), TiePolicy.FIRST_MOVES),
+        ],
+        ids=["cycle7-forbid", "spider-first"],
+    )
+    def test_point_satisfies_every_row(self, instance, policy):
+        forest = extract_forest(instance, policy)
+        assert_rows_hold(forest, *lp_minimize(forest))
+
+    @given(inst=instances(max_n=6), policy=st.sampled_from(list(TiePolicy)))
+    @settings(max_examples=40, deadline=None)
+    def test_point_satisfies_every_row_on_random_forests(self, inst, policy):
+        try:
+            forest = extract_forest(inst, policy)
+        except TieEncounteredError:
+            assume(False)
+        assert_rows_hold(forest, *lp_minimize(forest))
+
     def test_single_edge_closed_form(self):
         forest = extract_forest(
             Instance(weights=(1, 2), edges=((0, 1),)), TiePolicy.FORBID
@@ -197,6 +246,24 @@ class TestAlternateOptimize:
         )
         assert result.value <= Fraction(35, 100)
         assert solve(result.instance, TiePolicy.FIRST_MOVES).value == result.value
+
+    def test_relabeled_cycles_get_the_family_seed(self):
+        assert _known_seeds(GraphShape.cycle(7)) == [
+            gen_cycle7_family(1000).weights
+        ]
+        rng = random.Random(7)
+        for _ in range(10):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in GraphShape.cycle(7).edges]
+            rng.shuffle(edges)
+            shape = GraphShape(7, tuple(edges))
+            (seed,) = _known_seeds(shape)
+            # laid out from vertex 0 toward its smaller neighbour
+            nearer = min(perm[(perm.index(0) + step) % 7] for step in (1, -1))
+            assert (seed[0], seed[nearer]) == (1000, 1015)
+            value = solve(shape.instance(seed), TiePolicy.FORBID).value
+            assert value == Fraction(1069, 3095)
 
     def test_relabeled_spider_still_recognized(self):
         perm = (4, 7, 0, 2, 8, 5, 1, 3, 6)

@@ -68,6 +68,16 @@ class TestSolveCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == EXIT_USAGE
 
+    def test_directory_instead_of_file(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == EXIT_USAGE
+        assert "Is a directory" in assert_one_line_error(capsys)
+
+    def test_binary_file(self, tmp_path, capsys):
+        target = tmp_path / "inst.bin"
+        target.write_bytes(bytes([0x89, 0x50, 0x4E, 0x47, 0xFF, 0xFE, 0x00]))
+        assert main(["solve", str(target)]) == EXIT_USAGE
+        assert "can't decode" in assert_one_line_error(capsys)
+
     def test_size_warning_on_stderr(self, tmp_path, capsys):
         inst = Instance(
             weights=tuple(2**v for v in range(17)),
@@ -107,6 +117,11 @@ class TestGenCommand:
         inst = parse_instance(target.read_text())
         assert inst.vertex_count == 6
         assert len(inst.edges) == 5
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        code = main(["gen", "--kind", "cycle7:1000", "-o", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "Is a directory" in assert_one_line_error(capsys)
 
     def test_connected_kind(self, capsys):
         assert main(["gen", "--kind", "connected:6,3", "--seed", "4"]) == EXIT_OK
@@ -274,6 +289,25 @@ class TestAdversaryCommand:
     def test_empty_tree_enumeration(self, capsys):
         assert main(["adversary", "--shape", "tree-enum:0"]) == EXIT_USAGE
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("method", ["alt", "hill"])
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iters_below_one(self, method, iters, capsys):
+        argv = ["adversary", "--shape", "cycle7", "--method", method,
+                "--seed", "1", "--iters", iters]
+        assert main(argv) == EXIT_USAGE
+        assert "--iters must be at least 1" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "method, cap", [("alt", "capped at 10"), ("hill", "capped at 12")]
+    )
+    def test_tree_enumeration_above_the_cap_fails_fast(self, method, cap, capsys):
+        # the cap rejects the first tree; enumerating all trees on 40
+        # vertices first would not finish
+        argv = ["adversary", "--shape", "tree-enum:40", "--method", method,
+                "--seed", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert cap in assert_one_line_error(capsys)
 
 
 class TestPlayCommand:

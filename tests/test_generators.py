@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphshare.core import Instance, TiePolicy
+from graphshare.core import Instance
 from graphshare.generators import (
     CYCLE7_MIN_M,
     ExhaustedAttemptsError,
@@ -113,10 +113,3 @@ class TestResampleOnTie:
         )
         with pytest.raises(ExhaustedAttemptsError):
             resample_on_tie(always_tied, attempts=5)
-
-    def test_rejects_other_policies(self):
-        with pytest.raises(ValueError):
-            resample_on_tie(
-                lambda k: Instance(weights=(1, 2), edges=((0, 1),)),
-                policy=TiePolicy.FIRST_MOVES,
-            )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphshare.core import TiePolicy
+from graphshare.core import GraphShareError, TiePolicy
 from graphshare.solve import solve
 from graphshare.verify import (
     SUITE_NAMES,
@@ -102,6 +102,12 @@ def test_tie_tree_search_failure_is_reproducible():
     assert "failure.0.case=0000-search" in rendered
     assert rendered.endswith(report.summary() + "\n")
     assert "status=FAIL" in report.summary()
+
+
+def test_tie_tree_search_rejects_vertices_above_the_cap_up_front():
+    # enumerating every tree on 40 vertices before the check would not finish
+    with pytest.raises(GraphShareError, match="at most 10"):
+        run_suite("tie-tree-search", size_params={"vertices": 40})
 
 
 def test_general_third_records_nothing_but_passes_floor():
