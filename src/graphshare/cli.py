@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .adversary import (
+    ALTERNATE_VERTEX_CAP,
+    HILL_VERTEX_CAP,
     GraphShape,
     alternate_optimize,
     hill_climb,
@@ -23,6 +25,7 @@ from .core import (
     GameState,
     GraphShareError,
     Instance,
+    InstanceTooLargeError,
     Outcome,
     Player,
     TiePolicy,
@@ -272,16 +275,37 @@ def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
 # adversary
 
 
-def _parse_shapes(token: str) -> Iterable[GraphShape]:
+# Each --method's search, named as its own size-cap error names it, and
+# its vertex cap.
+_SEARCH_CAPS = {
+    "alt": ("alternating search", ALTERNATE_VERTEX_CAP),
+    "hill": ("hill climb", HILL_VERTEX_CAP),
+}
+
+
+def _refused(error: GraphShareError) -> Iterator[GraphShape]:
+    """No shapes: ``error`` is raised when the search loop asks for the
+    first one, where the search's own size cap would have raised it."""
+    raise error
+    yield
+
+
+def _parse_shapes(token: str, method: str) -> Iterable[GraphShape]:
     """The shapes a ``--shape`` token names.  Tree enumeration stays
     lazy, so a search's size cap rejects the first tree before the rest
-    are built."""
+    are built; a cycle above ``method``'s cap is never built."""
     name, _, rest = token.partition(":")
     try:
         if name == "cycle7":
             return [GraphShape.cycle(7)]
         if name == "cycle":
-            return [GraphShape.cycle(int(rest))]
+            n = int(rest)
+            search, cap = _SEARCH_CAPS[method]
+            if n > cap:
+                return _refused(
+                    InstanceTooLargeError(f"{search} capped at {cap} vertices")
+                )
+            return [GraphShape.cycle(n)]
         if name == "edge":
             return [GraphShape.single_edge()]
         if name == "tree-enum":
@@ -295,7 +319,7 @@ def _parse_shapes(token: str) -> Iterable[GraphShape]:
 
 
 def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
-    shapes = _parse_shapes(args.shape)
+    shapes = _parse_shapes(args.shape, args.method)
     policy = TiePolicy.from_token(args.policy)
     if args.method == "hill" and args.seed is None:
         raise _UsageError("--seed is required for method hill")

@@ -110,13 +110,6 @@ def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-def set_to_mask(vertices) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
-
-
 @dataclass(frozen=True)
 class Instance:
     """A connected graph with positive integer vertex weights.

@@ -105,6 +105,28 @@ def gen_random_connected(
     return Instance(weights=weights, edges=tuple(edges))
 
 
+def subset_sums_distinct(weights: tuple[int, ...]) -> bool:
+    """True when all 2^n subset sums of ``weights`` differ.
+
+    The sums are built one weight at a time, and the first collision
+    ends the check: ``seen`` then holds fewer sums than were made.
+
+    Two distinct subsets with equal sums leave two disjoint nonempty
+    subsets with equal sums once their common part is removed, and a
+    tied state is exactly such a pair; so distinct sums rule out a tie
+    at any state of play, whatever the graph.
+    """
+    sums = [0]
+    seen = {0}
+    for w in weights:
+        shifted = [x + w for x in sums]
+        sums += shifted
+        seen.update(shifted)
+        if len(seen) != len(sums):
+            return False
+    return True
+
+
 def resample_on_tie(
     generator_call: Callable[[int], Instance], attempts: int = 50
 ) -> tuple[Instance, int]:
@@ -113,9 +135,16 @@ def resample_on_tie(
     ``generator_call(k)`` must produce the k-th attempt's instance (vary
     the seed with k).  Returns the accepted instance and the number of
     rejected draws; raises ExhaustedAttemptsError when every attempt ties.
+
+    A draw whose subset sums are all distinct cannot reach a tie, so it
+    is accepted by that screen without a search.  Only a draw whose sums
+    collide is solved under forbid, which raises iff a tie is reachable
+    on its graph.
     """
     for attempt in range(attempts):
         candidate = generator_call(attempt)
+        if subset_sums_distinct(candidate.weights):
+            return candidate, attempt
         try:
             solve(candidate, TiePolicy.FORBID)
         except TieEncounteredError:

@@ -19,7 +19,6 @@ is strictly below the maximum vertex weight, so First keeps more than
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,40 +146,30 @@ def _audit_one(
 
 
 def audit_lines(
-    instance: Instance,
-    policy: TiePolicy,
-    start: int,
-    line_limit: int | None = None,
-    seed: int = 0,
+    instance: Instance, policy: TiePolicy, start: int
 ) -> list[LineAudit]:
-    """Audit play lines opened at ``start``.
+    """Audit every legal play line opened at ``start``.
 
-    Without ``line_limit`` every legal line is enumerated, which is only
-    allowed up to 8 vertices.  With a limit, move choices are shuffled by
-    a seeded generator and the first ``line_limit`` lines found are
-    audited, deterministically for a given seed.  Under the forbid policy
-    a line reaching tied totals is reported with ``skipped=True`` rather
-    than counted as a violation.
+    The enumeration is exhaustive, so it is only allowed up to 8
+    vertices.  Under the forbid policy a line reaching tied totals is
+    reported with ``skipped=True`` rather than counted as a violation.
     """
     n = instance.vertex_count
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} does not exist")
-    if line_limit is None and n > AUDIT_EXHAUSTIVE_CAP:
+    if n > AUDIT_EXHAUSTIVE_CAP:
         raise InstanceTooLargeError(
-            f"exhaustive audit needs <= {AUDIT_EXHAUSTIVE_CAP} vertices; "
-            "pass line_limit to sample"
+            f"{n} vertices exceed the exhaustive audit cap of "
+            f"{AUDIT_EXHAUSTIVE_CAP}"
         )
     adj = _adjacency(instance)
     weights = instance.weights
     forbid = policy is _FORBID
     on_tie = _FIRST if policy is _FIRST_MOVES else _SECOND
-    rng = random.Random(seed) if line_limit is not None else None
     audits: list[LineAudit] = []
     prefix: list[tuple[Player, int]] = [(_FIRST, start)]
 
     def walk(first: frozenset[int], second: frozenset[int]) -> None:
-        if line_limit is not None and len(audits) >= line_limit:
-            return
         f = sum(weights[v] for v in first)
         s = sum(weights[v] for v in second)
         taken = first | second
@@ -200,8 +189,6 @@ def audit_lines(
         else:
             who = on_tie
         frontier = sorted({u for v in taken for u in adj[v]} - taken)
-        if rng is not None:
-            rng.shuffle(frontier)
         for v in frontier:
             prefix.append((who, v))
             if who is _FIRST:

@@ -8,7 +8,11 @@ instance.  Suites report failures; they do not abort on them.
 
 Tied draws under the forbid policy are resampled, never counted as
 failures: the one-half tree bound assumes distinct subset sums, so a
-tied instance is outside the hypothesis, not a counterexample.
+tied instance is outside the hypothesis, not a counterexample.  Since
+the tie policy only names the mover at equal totals, every policy plays
+the same game on a resampled instance; so ``general-third`` searches
+each instance once, under forbid, and holds that value to the floor of
+all three policies.
 
 ``SuiteReport.render`` deliberately omits the wall time so that repeated
 runs with equal seeds produce byte-identical reports.
@@ -206,8 +210,11 @@ def _suite_general_third(seed: int, params: dict) -> tuple[int, list, list]:
         total = instance.total_weight
         w_max = max(instance.weights)
         floor = max(third, Fraction(w_max, total), Fraction(total - w_max, 2 * total))
+        # The policy picks the mover only on equal totals, and a
+        # _tie_free instance reaches none, so all three policies play
+        # the forbid game tree: one value stands for each of them.
+        value = solve(instance, TiePolicy.FORBID).value
         for policy in _ALL_POLICIES:
-            value = solve(instance, policy).value
             if value < floor:
                 failures.append(
                     CaseFailure(

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphshare.adversary import GraphShape
 from graphshare.cli import (
     EXIT_OK,
     EXIT_SUITE_FAIL,
@@ -308,6 +309,25 @@ class TestAdversaryCommand:
                 "--seed", "1"]
         assert main(argv) == EXIT_USAGE
         assert cap in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "method, shape, cap",
+        [("alt", "cycle:11", "capped at 10"), ("hill", "cycle:13", "capped at 12")],
+    )
+    def test_cycle_above_the_cap_is_never_built(
+        self, method, shape, cap, capsys, monkeypatch
+    ):
+        def refuse(n):
+            raise AssertionError(f"cycle of {n} vertices built")
+
+        monkeypatch.setattr(GraphShape, "cycle", refuse)
+        argv = ["adversary", "--shape", shape, "--method", method, "--seed", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert cap in assert_one_line_error(capsys)
+        # the other argument checks still come first, as they did when
+        # only the search checked its cap
+        assert main(argv + ["--iters", "0"]) == EXIT_USAGE
+        assert "--iters must be at least 1" in assert_one_line_error(capsys)
 
 
 class TestPlayCommand:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphshare.core import Instance
+from graphshare.core import Instance, TieEncounteredError, TiePolicy
 from graphshare.generators import (
     CYCLE7_MIN_M,
     ExhaustedAttemptsError,
@@ -15,8 +17,12 @@ from graphshare.generators import (
     gen_random_connected,
     gen_random_tree,
     resample_on_tie,
+    subset_sums_distinct,
 )
 from graphshare.instance_io import format_instance
+from graphshare.solve import solve
+
+from conftest import instances
 
 
 class TestCycle7Family:
@@ -113,3 +119,69 @@ class TestResampleOnTie:
         )
         with pytest.raises(ExhaustedAttemptsError):
             resample_on_tie(always_tied, attempts=5)
+
+
+def _search_only(generator_call, attempts):
+    """Reference resampler: a forbid search on every draw, no screen."""
+    for attempt in range(attempts):
+        candidate = generator_call(attempt)
+        try:
+            solve(candidate, TiePolicy.FORBID)
+        except TieEncounteredError:
+            continue
+        return candidate, attempt
+    raise ExhaustedAttemptsError(f"no tie-free instance in {attempts} attempts")
+
+
+def _tie_prone_draws(n, extra, seed):
+    """The k-th draw: a seeded connected graph with weights in 1..3."""
+
+    def draw(k):
+        shape = gen_random_connected(n, extra, seed + k, weight_max=n)
+        rng = random.Random(seed + k)
+        return Instance(tuple(rng.randint(1, 3) for _ in range(n)), shape.edges)
+
+    return draw
+
+
+class TestSubsetSumScreen:
+    @pytest.mark.parametrize(
+        "weights, distinct",
+        [
+            ((5,), True),
+            ((1, 2, 4, 8), True),
+            ((16, 1, 8, 2, 4), True),
+            ((3, 3), False),
+            ((1, 2, 3), False),  # distinct weights, yet 1 + 2 = 3
+            ((4, 7, 10, 13), False),  # 4 + 13 = 7 + 10
+        ],
+    )
+    def test_examples(self, weights, distinct):
+        assert subset_sums_distinct(weights) is distinct
+
+    @given(inst=instances(max_n=8, weight_max=12))
+    @settings(max_examples=150, deadline=None)
+    def test_screened_draws_solve_under_forbid(self, inst):
+        if subset_sums_distinct(inst.weights):
+            solve(inst, TiePolicy.FORBID)
+
+    @given(
+        n=st.integers(min_value=2, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_search_only_resampling(self, n, seed, data):
+        # weights <= 3 tie often, so most draws fail the screen and take
+        # the forbid search, and some runs exhaust their attempts
+        cap = n * (n - 1) // 2 - (n - 1)
+        extra = data.draw(st.integers(min_value=0, max_value=min(3, cap)))
+        draws = _tie_prone_draws(n, extra, seed)
+        try:
+            expected = _search_only(draws, attempts=10)
+        except ExhaustedAttemptsError:
+            with pytest.raises(ExhaustedAttemptsError):
+                resample_on_tie(draws, attempts=10)
+            return
+        instance, rejected = resample_on_tie(draws, attempts=10)
+        assert (instance, rejected) == expected

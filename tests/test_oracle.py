@@ -120,16 +120,11 @@ class TestAuditMechanics:
 
     def test_exhaustive_cap(self):
         big = path(range(1, AUDIT_EXHAUSTIVE_CAP + 3))
-        with pytest.raises(InstanceTooLargeError):
+        cap_error = f"exhaustive audit cap of {AUDIT_EXHAUSTIVE_CAP}"
+        with pytest.raises(InstanceTooLargeError, match=cap_error):
             audit_lines(big, TiePolicy.FIRST_MOVES, 0)
-        sampled = audit_lines(big, TiePolicy.FIRST_MOVES, 0, line_limit=5)
-        assert 1 <= len(sampled) <= 5
-
-    def test_sampling_is_seed_deterministic(self):
-        big = path([7, 1, 9, 2, 8, 3, 11, 4, 6])
-        a = audit_lines(big, TiePolicy.FIRST_MOVES, 2, line_limit=20, seed=3)
-        b = audit_lines(big, TiePolicy.FIRST_MOVES, 2, line_limit=20, seed=3)
-        assert a == b
+        at_cap = path(range(1, AUDIT_EXHAUSTIVE_CAP + 1))
+        assert audit_lines(at_cap, TiePolicy.FIRST_MOVES, 0)
 
     def test_bad_start(self):
         with pytest.raises(ValueError):

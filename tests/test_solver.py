@@ -34,7 +34,7 @@ from graphshare.solve import (
     value_from,
 )
 
-from conftest import instances, permute_instance
+from conftest import instances, permute_instance, tree_instances
 
 ALL_POLICIES = (TiePolicy.FORBID, TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)
 
@@ -305,3 +305,28 @@ def test_small_weight_values_match_brute_force(inst):
             continue
         for entry in report.per_start:
             assert entry.value == brute_value(inst, policy, entry.start)
+
+
+@given(
+    inst=st.one_of(
+        tree_instances(max_n=8, weight_max=6),
+        instances(max_n=8, weight_max=6),
+        instances(max_n=8),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_tie_free_instances_play_one_game_under_every_policy(inst):
+    # the policy names the mover only on equal totals, so where forbid
+    # finds none, first and second must search the very same tree;
+    # weights <= 6 mostly tie, and weights <= 60 add deeper tie-free
+    # games whose subset sums still collide off the reachable states
+    try:
+        forbid = solve(inst, TiePolicy.FORBID)
+    except TieEncounteredError:
+        return
+    for policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES):
+        report = solve(inst, policy)
+        assert report.per_start == forbid.per_start
+        assert report.value == forbid.value
+        assert report.best_start == forbid.best_start
+        assert report.state_count == forbid.state_count
