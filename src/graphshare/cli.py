@@ -325,15 +325,16 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
         raise _UsageError("--seed is required for method hill")
     if args.iters is not None and args.iters < 1:
         raise _UsageError(f"--iters must be at least 1, got {args.iters}")
+    # Without --iters each search keeps its own default budget.
+    key = "max_iters" if args.method == "alt" else "iters"
+    budget = {} if args.iters is None else {key: args.iters}
     best = None
     searched = 0
     for shape in shapes:
         if args.method == "alt":
-            iters = args.iters if args.iters is not None else 40
-            result = alternate_optimize(shape, policy, max_iters=iters)
+            result = alternate_optimize(shape, policy, **budget)
         else:
-            iters = args.iters if args.iters is not None else 2000
-            result = hill_climb(shape, policy, seed=args.seed, iters=iters)
+            result = hill_climb(shape, policy, seed=args.seed, **budget)
         candidate = (result.value, searched, result)
         if best is None or candidate[:2] < best[:2]:
             best = candidate

@@ -6,6 +6,18 @@ any order or concurrently without changing the report.  Failures carry a
 one-line escaped instance dump that re-parses to the exact offending
 instance.  Suites report failures; they do not abort on them.
 
+Five suites are corpus suites, each a draw rule plus a per-instance
+check.  The draw rule turns a case's random source into the generator
+call that ``resample_on_tie`` retries; the check yields one
+``(expected, actual)`` pair per claim the accepted instance fails.  One
+runner owns the subseeds, the case ids and the failure records; the
+other suites hand their failing instances to the same record builder.
+
+A suite's vertex-count parameter is capped at the vertex cap of the
+code it runs (the solver's, the brute-force oracle's, the exhaustive
+audit's or the alternating search's), and a larger override is refused
+before the first case is drawn.
+
 Tied draws under the forbid policy are resampled, never counted as
 failures: the one-half tree bound assumes distinct subset sums, so a
 tied instance is outside the hypothesis, not a counterexample.  Since
@@ -24,7 +36,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .adversary import ALTERNATE_VERTEX_CAP, alternate_optimize, hill_climb, tree_shapes
 from .core import GraphShareError, Instance, Player, TiePolicy
@@ -35,8 +47,9 @@ from .generators import (
     resample_on_tie,
 )
 from .instance_io import format_instance, parse_instance
-from .oracle import audit_lines, brute_value
+from .oracle import AUDIT_EXHAUSTIVE_CAP, BRUTE_VERTEX_CAP, audit_lines, brute_value
 from .solve import (
+    SOLVE_VERTEX_CAP,
     format_fraction,
     optimal_responses,
     principal_line,
@@ -137,224 +150,156 @@ def _subseeds(seed: int, count: int) -> list[int]:
     return [master.randrange(2**32) for _ in range(count)]
 
 
-def _tie_free(builder: Callable[[int], Instance]) -> Instance:
-    instance, _rejected = resample_on_tie(builder)
-    return instance
-
-
-# ---------------------------------------------------------------------------
-# shared corpora
-
-
-def _small_connected_corpus(
-    seed: int, cases: int, max_vertices: int, weight_max: int
-) -> list[Instance]:
-    """Tie-free random connected instances with n <= max_vertices.
-
-    Shared by the oracle-equivalence and lead-invariant suites so that
-    the exhaustive audits run on exactly the instances whose values the
-    oracle confirmed.
-    """
-    corpus = []
-    for sub in _subseeds(seed, cases):
-        rng = random.Random(sub)
-        n = rng.randint(2, max_vertices)
-        cap = n * (n - 1) // 2 - (n - 1)
-        extra = rng.randint(0, min(3, cap))
-        corpus.append(
-            _tie_free(lambda k: gen_random_connected(n, extra, sub + k, weight_max))
-        )
-    return corpus
-
-
-def _tree_corpus(
-    seed: int, cases: int, max_vertices: int, weight_max: int
-) -> list[Instance]:
-    """Tie-free random trees, shared by tree-half and mutual-edge."""
-    corpus = []
-    for sub in _subseeds(seed, cases):
-        rng = random.Random(sub)
-        n = rng.randint(2, max_vertices)
-        corpus.append(_tie_free(lambda k: gen_random_tree(n, sub + k, weight_max)))
-    return corpus
-
+# A suite returns its case count, its failing cases as
+# ``(case_id, instance, expected, actual)`` and its records.
+_SuiteResult = tuple[int, list[tuple[str, Instance, str, str]], list[tuple[str, str]]]
 
 # ---------------------------------------------------------------------------
-# suites
+# corpus suites: a draw rule plus a per-instance check
+
+# A draw rule reads a case's random source, subseed and params, and
+# returns the generator call for attempt ``k`` that resample_on_tie takes.
+_Call = Callable[[int], Instance]
+_Draw = Callable[[random.Random, int, dict], _Call]
+# A check yields ``(expected, actual)`` for each claim the instance fails.
+_Claims = Iterator[tuple[str, str]]
 
 
-def _case_id(index: int, instance: Instance) -> str:
-    return f"{index:04d}-n{instance.vertex_count}"
+def _draw_tree(rng: random.Random, sub: int, params: dict) -> _Call:
+    n = rng.randint(2, params["max_vertices"])
+    return lambda k: gen_random_tree(n, sub + k, params["weight_max"])
 
 
-def _suite_general_third(seed: int, params: dict) -> tuple[int, list, list]:
-    cases = params["cases"]
-    max_vertices = params["max_vertices"]
-    weight_max = params["weight_max"]
+def _draw_connected(
+    rng: random.Random, sub: int, params: dict, n: int | None = None
+) -> _Call:
+    """n in [2, max_vertices] unless given, plus up to three extra edges
+    (one above 10 vertices)."""
+    if n is None:
+        n = rng.randint(2, params["max_vertices"])
+    cap = n * (n - 1) // 2 - (n - 1)
+    extra = rng.randint(0, min(3 if n <= 10 else 1, cap))
+    return lambda k: gen_random_connected(n, extra, sub + k, params["weight_max"])
+
+
+def _draw_general(rng: random.Random, sub: int, params: dict) -> _Call:
+    # Mostly small instances; a tail of large ones keeps the bound honest
+    # where the search space is deep without dominating the runtime.
+    top = params["max_vertices"]
+    if rng.random() < 0.9:
+        n = rng.randint(2, min(10, top))
+    else:
+        n = rng.randint(min(11, top), top)
+    return _draw_connected(rng, sub, params, n)
+
+
+def _corpus(
+    draw: _Draw, check: Callable[[Instance], _Claims]
+) -> Callable[[int, dict], _SuiteResult]:
+    """The suite that checks ``cases`` tie-free draws, one subseed each."""
+
+    def suite(seed: int, params: dict) -> _SuiteResult:
+        found = []
+        for index, sub in enumerate(_subseeds(seed, params["cases"])):
+            call = draw(random.Random(sub), sub, params)
+            instance, _rejected = resample_on_tie(call)
+            case_id = f"{index:04d}-n{instance.vertex_count}"
+            found += [(case_id, instance, *claim) for claim in check(instance)]
+        return params["cases"], found, []
+
+    return suite
+
+
+def _check_general_third(instance: Instance) -> _Claims:
+    total = instance.total_weight
+    w_max = max(instance.weights)
     third = Fraction(1, 3)
-    failures = []
-    for index, sub in enumerate(_subseeds(seed, cases)):
-        rng = random.Random(sub)
-        # Mostly small instances; a tail of large ones keeps the bound
-        # honest where the search space is deep without dominating the
-        # runtime.
-        if rng.random() < 0.9:
-            n = rng.randint(2, min(10, max_vertices))
-        else:
-            n = rng.randint(min(11, max_vertices), max_vertices)
-        cap = n * (n - 1) // 2 - (n - 1)
-        extra = rng.randint(0, min(3 if n <= 10 else 1, cap))
-        instance = _tie_free(
-            lambda k: gen_random_connected(n, extra, sub + k, weight_max)
-        )
-        total = instance.total_weight
-        w_max = max(instance.weights)
-        floor = max(third, Fraction(w_max, total), Fraction(total - w_max, 2 * total))
-        # The policy picks the mover only on equal totals, and a
-        # _tie_free instance reaches none, so all three policies play
-        # the forbid game tree: one value stands for each of them.
-        value = solve(instance, TiePolicy.FORBID).value
+    floor = max(third, Fraction(w_max, total), Fraction(total - w_max, 2 * total))
+    # The policy picks the mover only on equal totals, and a resampled
+    # instance reaches none, so all three policies play the forbid game
+    # tree: one value stands for each of them.
+    value = solve(instance, TiePolicy.FORBID).value
+    if value < floor:
         for policy in _ALL_POLICIES:
-            if value < floor:
-                failures.append(
-                    CaseFailure(
-                        _case_id(index, instance),
-                        format_instance(instance),
-                        f"value >= {format_fraction(floor)} under {policy.value}",
-                        f"value={format_fraction(value)}",
-                    )
-                )
-    return cases, failures, []
-
-
-def _suite_tree_half(seed: int, params: dict) -> tuple[int, list, list]:
-    corpus = _tree_corpus(seed, params["cases"], params["max_vertices"], params["weight_max"])
-    half = Fraction(1, 2)
-    failures = []
-    for index, instance in enumerate(corpus):
-        value = solve(instance, TiePolicy.FORBID).value
-        if value < half:
-            failures.append(
-                CaseFailure(
-                    _case_id(index, instance),
-                    format_instance(instance),
-                    "tree value >= 1/2 under forbid",
-                    f"value={format_fraction(value)}",
-                )
+            yield (
+                f"value >= {format_fraction(floor)} under {policy.value}",
+                f"value={format_fraction(value)}",
             )
-    return len(corpus), failures, []
 
 
-def _suite_mutual_edge(seed: int, params: dict) -> tuple[int, list, list]:
-    corpus = _tree_corpus(seed, params["cases"], params["max_vertices"], params["weight_max"])
-    failures = []
-    for index, instance in enumerate(corpus):
-        replies = response_map(instance, TiePolicy.FORBID)
-        mutual = None
-        for a, b in instance.edges:
-            if replies[a] == b and replies[b] == a:
-                mutual = (a, b)
-                break
-        if mutual is None:
-            failures.append(
-                CaseFailure(
-                    _case_id(index, instance),
-                    format_instance(instance),
-                    "a mutual reply edge (replies[a]=b and replies[b]=a)",
-                    f"replies={replies}",
-                )
-            )
-            continue
-        a, b = mutual
-        total = instance.total_weight
-        first_at_a = _first_total(instance, TiePolicy.FORBID, a)
-        first_at_b = _first_total(instance, TiePolicy.FORBID, b)
-        if first_at_a != total - first_at_b:
-            failures.append(
-                CaseFailure(
-                    _case_id(index, instance),
-                    format_instance(instance),
-                    f"w(F|open {a}) = w(S|open {b}) on mutual edge {a}-{b}",
-                    f"w(F|open {a})={first_at_a}, "
-                    f"w(S|open {b})={total - first_at_b}",
-                )
-            )
-    return len(corpus), failures, []
+def _check_tree_half(instance: Instance) -> _Claims:
+    value = solve(instance, TiePolicy.FORBID).value
+    if value < Fraction(1, 2):
+        yield "tree value >= 1/2 under forbid", f"value={format_fraction(value)}"
 
 
-def _first_total(instance: Instance, policy: TiePolicy, start: int) -> int:
-    line = principal_line(instance, policy, start)
+def _check_mutual_edge(instance: Instance) -> _Claims:
+    replies = response_map(instance, TiePolicy.FORBID)
+    pairs = ((a, b) for a, b in instance.edges if replies[a] == b and replies[b] == a)
+    mutual = next(pairs, None)
+    if mutual is None:
+        yield (
+            "a mutual reply edge (replies[a]=b and replies[b]=a)",
+            f"replies={replies}",
+        )
+        return
+    a, b = mutual
+    total = instance.total_weight
+    first_at_a = _first_weight(instance, principal_line(instance, TiePolicy.FORBID, a))
+    first_at_b = _first_weight(instance, principal_line(instance, TiePolicy.FORBID, b))
+    if first_at_a != total - first_at_b:
+        yield (
+            f"w(F|open {a}) = w(S|open {b}) on mutual edge {a}-{b}",
+            f"w(F|open {a})={first_at_a}, w(S|open {b})={total - first_at_b}",
+        )
+
+
+def _first_weight(instance: Instance, line) -> int:
     return sum(instance.weights[v] for player, v in line if player is Player.FIRST)
 
 
-def _suite_lead_invariant(seed: int, params: dict) -> tuple[int, list, list]:
-    corpus = _small_connected_corpus(
-        seed, params["cases"], params["max_vertices"], params["weight_max"]
-    )
-    failures = []
-    for index, instance in enumerate(corpus):
-        w_max = max(instance.weights)
-        for policy in _ALL_POLICIES:
-            for start in range(instance.vertex_count):
-                for audit in audit_lines(instance, policy, start):
-                    if audit.max_lead_violation is not None:
-                        step, leader, lead, weight = audit.max_lead_violation
-                        failures.append(
-                            CaseFailure(
-                                _case_id(index, instance),
-                                format_instance(instance),
-                                "strict leader's lead < leader's last vertex weight",
-                                f"policy={policy.value} start={start} step={step} "
-                                f"leader={leader.value} lead={lead} last_weight={weight}",
-                            )
-                        )
-                    if audit.skipped or audit.tie_steps:
-                        continue
-                    first = sum(
-                        instance.weights[v]
-                        for player, v in audit.line
-                        if player is Player.FIRST
+def _check_lead_invariant(instance: Instance) -> _Claims:
+    w_max = max(instance.weights)
+    for policy in _ALL_POLICIES:
+        for start in range(instance.vertex_count):
+            where = f"policy={policy.value} start={start}"
+            for audit in audit_lines(instance, policy, start):
+                if audit.max_lead_violation is not None:
+                    step, leader, lead, weight = audit.max_lead_violation
+                    yield (
+                        "strict leader's lead < leader's last vertex weight",
+                        f"{where} step={step} leader={leader.value} lead={lead} "
+                        f"last_weight={weight}",
                     )
-                    final_lead = abs(2 * first - instance.total_weight)
-                    if final_lead >= w_max:
-                        failures.append(
-                            CaseFailure(
-                                _case_id(index, instance),
-                                format_instance(instance),
-                                "final lead < max weight on tie-free lines",
-                                f"policy={policy.value} start={start} "
-                                f"final_lead={final_lead} w_max={w_max}",
-                            )
-                        )
-    return len(corpus), failures, []
-
-
-def _suite_oracle_equivalence(seed: int, params: dict) -> tuple[int, list, list]:
-    corpus = _small_connected_corpus(
-        seed, params["cases"], params["max_vertices"], params["weight_max"]
-    )
-    failures = []
-    for index, instance in enumerate(corpus):
-        for policy in _ALL_POLICIES:
-            report = solve(instance, policy)
-            for entry in report.per_start:
-                reference = brute_value(instance, policy, entry.start)
-                if reference != entry.value:
-                    failures.append(
-                        CaseFailure(
-                            _case_id(index, instance),
-                            format_instance(instance),
-                            f"solver == oracle at start {entry.start} "
-                            f"under {policy.value}",
-                            f"solver={format_fraction(entry.value)} "
-                            f"oracle={format_fraction(reference)}",
-                        )
+                if audit.skipped or audit.tie_steps:
+                    continue
+                first = _first_weight(instance, audit.line)
+                final_lead = abs(2 * first - instance.total_weight)
+                if final_lead >= w_max:
+                    yield (
+                        "final lead < max weight on tie-free lines",
+                        f"{where} final_lead={final_lead} w_max={w_max}",
                     )
-    return len(corpus), failures, []
 
 
-def _suite_cycle7_family(seed: int, params: dict) -> tuple[int, list, list]:
-    failures = []
+def _check_oracle_equivalence(instance: Instance) -> _Claims:
+    for policy in _ALL_POLICIES:
+        for entry in solve(instance, policy).per_start:
+            reference = brute_value(instance, policy, entry.start)
+            if reference != entry.value:
+                yield (
+                    f"solver == oracle at start {entry.start} under {policy.value}",
+                    f"solver={format_fraction(entry.value)} "
+                    f"oracle={format_fraction(reference)}",
+                )
+
+
+# ---------------------------------------------------------------------------
+# fixed families and the tree search
+
+
+def _suite_cycle7_family(seed: int, params: dict) -> _SuiteResult:
+    found = []
     records = []
     d_vertex, e_vertex = 3, 4
     for index, m in enumerate(params["m_values"]):
@@ -363,48 +308,33 @@ def _suite_cycle7_family(seed: int, params: dict) -> tuple[int, list, list]:
         bound = Fraction(m + 69, 3 * m + 95)
         records.append((f"cycle7.M{m}.value", format_fraction(value)))
         records.append((f"cycle7.M{m}.bound", format_fraction(bound)))
+        case_id = f"{index:04d}-M{m}"
         if value > bound:
-            failures.append(
-                CaseFailure(
-                    f"{index:04d}-M{m}",
-                    format_instance(instance),
-                    f"value <= {format_fraction(bound)}",
-                    f"value={format_fraction(value)}",
-                )
-            )
+            expected = f"value <= {format_fraction(bound)}"
+            actual = f"value={format_fraction(value)}"
+            found.append((case_id, instance, expected, actual))
         replies = optimal_responses(instance, TiePolicy.FORBID, d_vertex)
         if e_vertex not in replies:
-            failures.append(
-                CaseFailure(
-                    f"{index:04d}-M{m}",
-                    format_instance(instance),
-                    f"vertex {e_vertex} among optimal replies to opening {d_vertex}",
-                    f"replies={sorted(replies)}",
-                )
-            )
-    return len(params["m_values"]), failures, records
+            expected = f"vertex {e_vertex} among optimal replies to opening {d_vertex}"
+            found.append((case_id, instance, expected, f"replies={sorted(replies)}"))
+    return len(params["m_values"]), found, records
 
 
-def _suite_edge_family(seed: int, params: dict) -> tuple[int, list, list]:
-    failures = []
+def _suite_edge_family(seed: int, params: dict) -> _SuiteResult:
+    found = []
     k_max = params["k_max"]
     for k in range(1, k_max + 1):
         instance = Instance(weights=(k, k + 1), edges=((0, 1),))
         value = solve(instance, TiePolicy.FORBID).value
         expected = Fraction(k + 1, 2 * k + 1)
         if value != expected:
-            failures.append(
-                CaseFailure(
-                    f"{k:04d}-edge",
-                    format_instance(instance),
-                    f"value == {format_fraction(expected)}",
-                    f"value={format_fraction(value)}",
-                )
-            )
-    return k_max, failures, []
+            claim = f"value == {format_fraction(expected)}"
+            actual = f"value={format_fraction(value)}"
+            found.append((f"{k:04d}-edge", instance, claim, actual))
+    return k_max, found, []
 
 
-def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
+def _suite_tie_tree_search(seed: int, params: dict) -> _SuiteResult:
     """Adversary search over all tree shapes of a fixed size.
 
     A seeded hill climb scores every shape, then the alternating
@@ -412,17 +342,10 @@ def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
     value must beat the threshold; the stretch goal is recorded
     either way.
     """
-    vertices = params["vertices"]
-    if vertices > ALTERNATE_VERTEX_CAP:
-        raise GraphShareError(
-            f"parameter 'vertices' of suite 'tie-tree-search' must be at most "
-            f"{ALTERNATE_VERTEX_CAP}, the alternating search's vertex cap; "
-            f"got {vertices}"
-        )
     threshold = params["threshold"]
     stretch = params["stretch"]
     policy = TiePolicy.FIRST_MOVES
-    shapes = list(tree_shapes(vertices))
+    shapes = list(tree_shapes(params["vertices"]))
     subs = _subseeds(seed, len(shapes))
     scored = []
     for shape, sub in zip(shapes, subs):
@@ -444,46 +367,52 @@ def _suite_tie_tree_search(seed: int, params: dict) -> tuple[int, list, list]:
         ("search.stretch", format_fraction(stretch)),
         ("search.stretch_met", "yes" if best_value <= stretch else "no"),
     ]
-    failures = []
+    found = []
     if best_value > threshold:
-        failures.append(
-            CaseFailure(
-                "0000-search",
-                format_instance(best_instance),
-                f"best certified value <= {format_fraction(threshold)}",
-                f"best={format_fraction(best_value)}",
-            )
-        )
-    return len(shapes), failures, records
+        expected = f"best certified value <= {format_fraction(threshold)}"
+        actual = f"best={format_fraction(best_value)}"
+        found.append(("0000-search", best_instance, expected, actual))
+    return len(shapes), found, records
 
 
-# Suite name -> (suite function, default sizes and thresholds), in the
-# order reports list them.
-_SUITES: dict[str, tuple[Callable[[int, dict], tuple[int, list, list]], dict]] = {
+# A suite's size cap: the parameter, its largest value and the code
+# whose vertex cap that is.
+_Cap = tuple[str, int, str]
+_SOLVER_CAP = ("max_vertices", SOLVE_VERTEX_CAP, "solver")
+
+# Suite name -> (suite function, size cap, default sizes and thresholds),
+# in the order reports list them.
+_SUITES: dict[str, tuple[Callable[[int, dict], _SuiteResult], _Cap | None, dict]] = {
     "general-third": (
-        _suite_general_third,
+        _corpus(_draw_general, _check_general_third),
+        _SOLVER_CAP,
         {"cases": 1000, "max_vertices": 14, "weight_max": 10**9},
     ),
     "tree-half": (
-        _suite_tree_half,
+        _corpus(_draw_tree, _check_tree_half),
+        _SOLVER_CAP,
         {"cases": 500, "max_vertices": 12, "weight_max": 10**9},
     ),
     "mutual-edge": (
-        _suite_mutual_edge,
+        _corpus(_draw_tree, _check_mutual_edge),
+        _SOLVER_CAP,
         {"cases": 500, "max_vertices": 12, "weight_max": 10**9},
     ),
     "lead-invariant": (
-        _suite_lead_invariant,
+        _corpus(_draw_connected, _check_lead_invariant),
+        ("max_vertices", AUDIT_EXHAUSTIVE_CAP, "exhaustive audit"),
         {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
     ),
     "oracle-equivalence": (
-        _suite_oracle_equivalence,
+        _corpus(_draw_connected, _check_oracle_equivalence),
+        ("max_vertices", BRUTE_VERTEX_CAP, "brute-force oracle"),
         {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
     ),
-    "cycle7-family": (_suite_cycle7_family, {"m_values": (1000, 100000)}),
-    "edge-family": (_suite_edge_family, {"k_max": 50}),
+    "cycle7-family": (_suite_cycle7_family, None, {"m_values": (1000, 100000)}),
+    "edge-family": (_suite_edge_family, None, {"k_max": 50}),
     "tie-tree-search": (
         _suite_tie_tree_search,
+        ("vertices", ALTERNATE_VERTEX_CAP, "alternating search"),
         {
             "vertices": 9,
             "hill_iters": 25,
@@ -498,10 +427,10 @@ _SUITES: dict[str, tuple[Callable[[int, dict], tuple[int, list, list]], dict]] =
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _check_param(suite: str, key: str, value, default) -> None:
+def _check_param(suite: str, key: str, value, default, cap: _Cap | None) -> None:
     """Reject an override whose type differs from its default's (an int
-    may stand for a Fraction), any size below 1 and a ``max_vertices``
-    below 2."""
+    may stand for a Fraction), any size below 1, a ``max_vertices``
+    below 2 and a vertex count above the suite's cap."""
     prefix = f"parameter {key!r} of suite {suite!r} must be"
     if type(default) is Fraction:
         if type(value) not in (int, Fraction):
@@ -514,6 +443,10 @@ def _check_param(suite: str, key: str, value, default) -> None:
     floor = 2 if key == "max_vertices" else 1
     if not sizes or min(sizes) < floor:
         raise GraphShareError(f"{prefix} at least {floor}, got {value!r}")
+    if cap and key == cap[0] and value > cap[1]:
+        raise GraphShareError(
+            f"{prefix} at most {cap[1]}, the {cap[2]}'s vertex cap; got {value!r}"
+        )
 
 
 def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> SuiteReport:
@@ -526,7 +459,7 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
     """
     if name not in _SUITES:
         raise UnknownSuiteError(name)
-    suite, defaults = _SUITES[name]
+    suite, cap, defaults = _SUITES[name]
     params = dict(defaults)
     unknown = sorted(set(size_params or ()) - set(params))
     if unknown:
@@ -536,7 +469,7 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
         )
     if size_params:
         for key, value in size_params.items():
-            _check_param(name, key, value, params[key])
+            _check_param(name, key, value, params[key], cap)
         params.update(size_params)
     if params.get("weight_max", 0) < params.get("max_vertices", 0):
         raise GraphShareError(
@@ -544,14 +477,17 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
             f"max_vertices={params['max_vertices']}"
         )
     started = time.perf_counter()
-    cases, failures, records = suite(seed, params)
+    cases, found, records = suite(seed, params)
     elapsed = time.perf_counter() - started
-    failures = tuple(sorted(failures, key=lambda f: f.case_id))
+    found.sort(key=lambda case: case[0])
     return SuiteReport(
         suite=name,
         seed=seed,
         cases=cases,
-        failures=failures,
+        failures=tuple(
+            CaseFailure(case_id, format_instance(instance), expected, actual)
+            for case_id, instance, expected, actual in found
+        ),
         records=tuple(records),
         wall_time=elapsed,
     )
