@@ -31,18 +31,18 @@ from fractions import Fraction
 
 from .core import (
     Instance,
-    InstanceTooLargeError,
     Player,
     TiePolicy,
     TieEncounteredError,
+    VertexCap,
     bits,
 )
 from .generators import gen_cycle7_family
 from .simplex import solve_lp
 from .solve import _Search, solve
 
-ALTERNATE_VERTEX_CAP = 10
-HILL_VERTEX_CAP = 12
+ALTERNATE_VERTEX_CAP = VertexCap(10, "alternating search")
+HILL_VERTEX_CAP = VertexCap(12, "hill climb")
 EPSILON_FLOOR = Fraction(1, 10**6)
 MARGIN = Fraction(1, 10**9)
 LIFT_FINENESS = round(1 / EPSILON_FLOOR)
@@ -75,10 +75,9 @@ class GraphShape:
 
 
 def tree_shapes(n: int):
-    """All trees on n vertices up to isomorphism, in a fixed order.
-
-    Rejects n < 1 at the call; the trees themselves come lazily, so a
-    caller can fail a size check before any enumeration work."""
+    """All trees on n vertices up to isomorphism, in a fixed order,
+    built lazily.  Rejects n < 1 at the call.  The count grows
+    exponentially in n, so callers check their vertex cap first."""
     import networkx as nx
 
     if n < 1:
@@ -148,10 +147,7 @@ class AnnotatedScenarioForest:
 def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioForest:
     """Freeze Second's canonical optimal replies on ``instance`` into an
     annotated forest over all openings."""
-    if instance.vertex_count > ALTERNATE_VERTEX_CAP:
-        raise InstanceTooLargeError(
-            f"forest extraction capped at {ALTERNATE_VERTEX_CAP} vertices"
-        )
+    ALTERNATE_VERTEX_CAP.check(instance.vertex_count)
     search = _Search(instance, policy)
     memo: dict[tuple[int, int], ForestNode] = {}
 
@@ -387,10 +383,7 @@ def alternate_optimize(
     out.  Deterministic in its inputs, and the reported value is always
     the exact solver's, never the LP bound.
     """
-    if shape.vertex_count > ALTERNATE_VERTEX_CAP:
-        raise InstanceTooLargeError(
-            f"alternating search capped at {ALTERNATE_VERTEX_CAP} vertices"
-        )
+    ALTERNATE_VERTEX_CAP.check(shape.vertex_count)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     ladder = _start_ladder(shape, policy)
@@ -477,10 +470,7 @@ def hill_climb(
     in (shape, policy, seed, iters).
     """
     n = shape.vertex_count
-    if n > HILL_VERTEX_CAP:
-        raise InstanceTooLargeError(
-            f"hill climb capped at {HILL_VERTEX_CAP} vertices"
-        )
+    HILL_VERTEX_CAP.check(n)
     rng = random.Random(seed)
     tie_seeking = policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .adversary import (
     ALTERNATE_VERTEX_CAP,
@@ -25,11 +25,11 @@ from .core import (
     GameState,
     GraphShareError,
     Instance,
-    InstanceTooLargeError,
     Outcome,
     Player,
     TiePolicy,
     TieEncounteredError,
+    VertexCap,
     legal_moves,
     mask_to_set,
     mover,
@@ -69,6 +69,8 @@ def _read_instance(path: str) -> Instance:
 
 def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     instance = _read_instance(args.file)
+    if args.start is not None and not 0 <= args.start < instance.vertex_count:
+        raise _UsageError(f"start vertex {args.start} does not exist")
     if instance.vertex_count > SOLVE_WARN_VERTICES:
         print(
             f"warning: {instance.vertex_count} vertices; exact solving "
@@ -80,8 +82,6 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     if args.start is None:
         out.write(report.render())
         return EXIT_OK
-    if not 0 <= args.start < instance.vertex_count:
-        raise _UsageError(f"start vertex {args.start} does not exist")
     entry = report.per_start[args.start]
     out.write(f"start.{entry.start}.value={format_fraction(entry.value)}\n")
     out.write(f"start.{entry.start}.line={format_line(entry.line)}\n")
@@ -95,6 +95,11 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
 
 class _InputEnded(Exception):
     pass
+
+
+def _vertex_list(vertices: Iterable[int]) -> str:
+    """Vertex ids in increasing order, comma-separated; ``-`` for none."""
+    return ",".join(map(str, sorted(vertices))) or "-"
 
 
 def run_play(
@@ -117,8 +122,8 @@ def run_play(
 
     def show_state(state: GameState) -> None:
         f, s = state.totals(instance)
-        first_set = ",".join(map(str, sorted(mask_to_set(state.first_mask)))) or "-"
-        second_set = ",".join(map(str, sorted(mask_to_set(state.second_mask)))) or "-"
+        first_set = _vertex_list(mask_to_set(state.first_mask))
+        second_set = _vertex_list(mask_to_set(state.second_mask))
         frontier = " ".join(map(str, sorted(legal_moves(instance, state))))
         output_stream.write(
             f"first[{first_set}]={f}/{total} "
@@ -173,11 +178,11 @@ def run_play(
             "totals tied: the forbid policy cannot continue; game aborted\n"
         )
         raise
-    f_set = ",".join(map(str, sorted(outcome.first_set))) or "-"
-    s_set = ",".join(map(str, sorted(outcome.second_set))) or "-"
     output_stream.write(
-        f"final: first[{f_set}]={format_fraction(outcome.first_value)} "
-        f"second[{s_set}]={format_fraction(1 - outcome.first_value)}\n"
+        f"final: first[{_vertex_list(outcome.first_set)}]="
+        f"{format_fraction(outcome.first_value)} "
+        f"second[{_vertex_list(outcome.second_set)}]="
+        f"{format_fraction(1 - outcome.first_value)}\n"
     )
     human_score = (
         outcome.first_value
@@ -275,71 +280,55 @@ def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
 # adversary
 
 
-# Each --method's search, named as its own size-cap error names it, and
-# its vertex cap.
-_SEARCH_CAPS = {
-    "alt": ("alternating search", ALTERNATE_VERTEX_CAP),
-    "hill": ("hill climb", HILL_VERTEX_CAP),
+# Each --method's search, its vertex cap and its iteration budget's
+# parameter name.
+_METHODS = {
+    "alt": (alternate_optimize, ALTERNATE_VERTEX_CAP, "max_iters"),
+    "hill": (hill_climb, HILL_VERTEX_CAP, "iters"),
 }
 
 
-def _refused(error: GraphShareError) -> Iterator[GraphShape]:
-    """No shapes: ``error`` is raised when the search loop asks for the
-    first one, where the search's own size cap would have raised it."""
-    raise error
-    yield
-
-
-def _parse_shapes(token: str, method: str) -> Iterable[GraphShape]:
-    """The shapes a ``--shape`` token names.  Tree enumeration stays
-    lazy, so a search's size cap rejects the first tree before the rest
-    are built; a cycle above ``method``'s cap is never built."""
+def _parse_shapes(token: str, cap: VertexCap) -> list[GraphShape]:
+    """The shapes a ``--shape`` token names.  Their vertex count comes
+    from the token and is checked against ``cap`` before any shape is
+    built or enumerated."""
     name, _, rest = token.partition(":")
+    if name not in ("cycle7", "cycle", "tree-enum", "edge"):
+        raise _UsageError(
+            f"unknown shape {token!r}; expected cycle7, cycle:<n>, "
+            "tree-enum:<n>, or edge"
+        )
     try:
-        if name == "cycle7":
-            return [GraphShape.cycle(7)]
-        if name == "cycle":
-            n = int(rest)
-            search, cap = _SEARCH_CAPS[method]
-            if n > cap:
-                return _refused(
-                    InstanceTooLargeError(f"{search} capped at {cap} vertices")
-                )
-            return [GraphShape.cycle(n)]
+        n = {"cycle7": 7, "edge": 2}.get(name) or int(rest)
+        cap.check(n)
         if name == "edge":
             return [GraphShape.single_edge()]
         if name == "tree-enum":
-            return tree_shapes(int(rest))
-    except (ValueError, TypeError) as exc:
+            return list(tree_shapes(n))
+        return [GraphShape.cycle(n)]
+    except ValueError as exc:
         raise _UsageError(f"bad --shape argument {token!r}: {exc}") from exc
-    raise _UsageError(
-        f"unknown shape {token!r}; expected cycle7, cycle:<n>, "
-        "tree-enum:<n>, or edge"
-    )
 
 
 def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
-    shapes = _parse_shapes(args.shape, args.method)
+    search, cap, budget = _METHODS[args.method]
     policy = TiePolicy.from_token(args.policy)
-    if args.method == "hill" and args.seed is None:
-        raise _UsageError("--seed is required for method hill")
-    if args.iters is not None and args.iters < 1:
-        raise _UsageError(f"--iters must be at least 1, got {args.iters}")
+    options = {}
+    if args.method == "hill":
+        if args.seed is None:
+            raise _UsageError("--seed is required for method hill")
+        options["seed"] = args.seed
     # Without --iters each search keeps its own default budget.
-    key = "max_iters" if args.method == "alt" else "iters"
-    budget = {} if args.iters is None else {key: args.iters}
-    best = None
-    searched = 0
-    for shape in shapes:
-        if args.method == "alt":
-            result = alternate_optimize(shape, policy, **budget)
-        else:
-            result = hill_climb(shape, policy, seed=args.seed, **budget)
-        candidate = (result.value, searched, result)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-        searched += 1
-    result = best[2]
+    if args.iters is not None:
+        if args.iters < 1:
+            raise _UsageError(f"--iters must be at least 1, got {args.iters}")
+        options[budget] = args.iters
+    shapes = _parse_shapes(args.shape, cap)
+    # the first shape wins a tie on value
+    result = min(
+        (search(shape, policy, **options) for shape in shapes),
+        key=lambda found: found.value,
+    )
     if args.trace:
         for record in result.trace:
             candidate_text = (
@@ -358,7 +347,7 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     out.write(f"method={args.method}\n")
     out.write(f"policy={policy.value}\n")
     out.write(f"shape={args.shape}\n")
-    out.write(f"shapes_searched={searched}\n")
+    out.write(f"shapes_searched={len(shapes)}\n")
     out.write(f"stop_reason={result.stop_reason}\n")
     if args.seed is not None:
         out.write(f"seed={args.seed}\n")
@@ -400,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv = sub.add_parser("adversary", help="search for worst-case weights")
     p_adv.add_argument("--shape", required=True)
     p_adv.add_argument("--policy", choices=_POLICY_CHOICES, default="forbid")
-    p_adv.add_argument("--method", choices=("alt", "hill"), default="alt")
+    p_adv.add_argument("--method", choices=tuple(_METHODS), default="alt")
     p_adv.add_argument("--seed", type=int, default=None)
     p_adv.add_argument("--iters", type=int, default=None)
     p_adv.add_argument(

@@ -9,8 +9,10 @@ connectedly.  When the totals are equal a tie policy decides who moves
 taken; each player keeps the total weight of the vertices they took.
 
 Vertex sets are encoded as bitmasks (vertex ``v`` is bit ``1 << v``),
-which caps instances at 64 vertices.  All arithmetic is exact: weights
-are integers and reported values are fractions of the total weight.
+which caps instances at 64 vertices.  Every vertex limit of the package
+is a ``VertexCap``, and ``VertexCap.check`` is its one refusal.  All
+arithmetic is exact: weights are integers and reported values are
+fractions of the total weight.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator
-
-MAX_VERTICES = 64
 
 
 class GraphShareError(Exception):
@@ -45,6 +45,29 @@ class DisconnectedGraphError(GraphShareError):
 
 class InstanceTooLargeError(GraphShareError):
     """The instance exceeds a size cap (encoding or search limit)."""
+
+
+class VertexCap(int):
+    """A vertex limit that names the code it guards.  It compares,
+    adds and formats as its ``int``; ``check`` refuses a larger count
+    before that code does any work."""
+
+    what: str
+
+    def __new__(cls, limit: int, what: str) -> "VertexCap":
+        cap = super().__new__(cls, limit)
+        cap.what = what
+        return cap
+
+    def check(self, n: int) -> None:
+        """Raise InstanceTooLargeError when ``n`` vertices exceed the cap."""
+        if n > self:
+            raise InstanceTooLargeError(
+                f"{n} vertices exceed the {self.what} cap of {int(self)}"
+            )
+
+
+MAX_VERTICES = VertexCap(64, "bitmask encoding")
 
 
 class IllegalMoveError(GraphShareError):
@@ -133,10 +156,7 @@ class Instance:
         n = len(weights)
         if n < 1:
             raise ValueError("instance needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise InstanceTooLargeError(
-                f"{n} vertices exceed the {MAX_VERTICES}-vertex bitmask encoding"
-            )
+        MAX_VERTICES.check(n)
         for v, w in enumerate(weights):
             if w <= 0:
                 raise NonPositiveWeightError(f"vertex {v} has weight {w}")

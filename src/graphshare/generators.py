@@ -11,7 +11,7 @@ import heapq
 import random
 from typing import Callable
 
-from .core import GraphShareError, Instance, TiePolicy, TieEncounteredError
+from .core import MAX_VERTICES, GraphShareError, Instance, TiePolicy, TieEncounteredError
 from .solve import solve
 
 CYCLE7_MIN_M = 96
@@ -66,8 +66,11 @@ def _prufer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def _check_weight_args(n: int, weight_max: int) -> None:
+    """Refuse a vertex count the encoding cannot hold before anything is
+    drawn: a connected graph's candidate edges alone are O(n^2)."""
     if n < 1:
         raise ValueError(f"vertex count {n} must be positive")
+    MAX_VERTICES.check(n)
     if weight_max < n:
         raise ValueError(f"weight_max {weight_max} must be at least n={n}")
 

@@ -24,14 +24,14 @@ from fractions import Fraction
 
 from .core import (
     Instance,
-    InstanceTooLargeError,
     Player,
     TiePolicy,
     TieEncounteredError,
+    VertexCap,
 )
 
-BRUTE_VERTEX_CAP = 10
-AUDIT_EXHAUSTIVE_CAP = 8
+BRUTE_VERTEX_CAP = VertexCap(10, "brute-force oracle")
+AUDIT_EXHAUSTIVE_CAP = VertexCap(8, "exhaustive audit")
 
 # An enum member lookup costs about ten global lookups on CPython 3.11;
 # the per-step loops below read these bindings instead.
@@ -51,10 +51,7 @@ def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
     """Final First share after opening at ``start``, by plain exhaustive
     recursion over every legal continuation."""
     n = instance.vertex_count
-    if n > BRUTE_VERTEX_CAP:
-        raise InstanceTooLargeError(
-            f"{n} vertices exceed the brute-force cap of {BRUTE_VERTEX_CAP}"
-        )
+    BRUTE_VERTEX_CAP.check(n)
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} does not exist")
     adj = _adjacency(instance)
@@ -150,18 +147,15 @@ def audit_lines(
 ) -> list[LineAudit]:
     """Audit every legal play line opened at ``start``.
 
-    The enumeration is exhaustive, so it is only allowed up to 8
-    vertices.  Under the forbid policy a line reaching tied totals is
-    reported with ``skipped=True`` rather than counted as a violation.
+    The enumeration is exhaustive, so it is only allowed up to
+    ``AUDIT_EXHAUSTIVE_CAP`` vertices.  Under the forbid policy a line
+    reaching tied totals is reported with ``skipped=True`` rather than
+    counted as a violation.
     """
     n = instance.vertex_count
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} does not exist")
-    if n > AUDIT_EXHAUSTIVE_CAP:
-        raise InstanceTooLargeError(
-            f"{n} vertices exceed the exhaustive audit cap of "
-            f"{AUDIT_EXHAUSTIVE_CAP}"
-        )
+    AUDIT_EXHAUSTIVE_CAP.check(n)
     adj = _adjacency(instance)
     weights = instance.weights
     forbid = policy is _FORBID

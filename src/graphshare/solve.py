@@ -33,24 +33,16 @@ from .core import (
     SECOND,
     GameState,
     Instance,
-    InstanceTooLargeError,
     Player,
     TiePolicy,
     TieEncounteredError,
+    VertexCap,
     mover_at,
     validate_state,
 )
 
-SOLVE_VERTEX_CAP = 18
+SOLVE_VERTEX_CAP = VertexCap(18, "solver")
 SOLVE_WARN_VERTICES = 16
-
-
-def _check_size(instance: Instance) -> None:
-    if instance.vertex_count > SOLVE_VERTEX_CAP:
-        raise InstanceTooLargeError(
-            f"{instance.vertex_count} vertices exceed the solver cap of "
-            f"{SOLVE_VERTEX_CAP}"
-        )
 
 
 class _Search:
@@ -76,9 +68,13 @@ class _Search:
     there the key would merge little and cost a multi-digit int; such
     searches keep the finer pair key ``(fm << n) | sm`` with the same
     stored values.
+
+    Construction refuses an instance above ``SOLVE_VERTEX_CAP``, so
+    every view fails before any search.
     """
 
     def __init__(self, instance: Instance, policy: TiePolicy):
+        SOLVE_VERTEX_CAP.check(instance.vertex_count)
         self.instance = instance
         self.policy = policy
         self.weights = instance.weights
@@ -262,9 +258,8 @@ def format_line(line: tuple[tuple[Player, int], ...]) -> str:
 
 def value_from(instance: Instance, policy: TiePolicy, state: GameState) -> Fraction:
     """Exact game value (final First share) from an arbitrary valid state."""
-    _check_size(instance)
-    validate_state(instance, state)
     search = _Search(instance, policy)
+    validate_state(instance, state)
     raw = search.best(*search.state(state.first_mask, state.second_mask))
     return Fraction(raw, instance.total_weight)
 
@@ -272,7 +267,6 @@ def value_from(instance: Instance, policy: TiePolicy, state: GameState) -> Fract
 def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveReport:
     """Evaluate every opening and report values, canonical lines, and the
     game value; openings share one memo table."""
-    _check_size(instance)
     search = _Search(instance, policy)
     total = instance.total_weight
     per_start = []
@@ -300,10 +294,9 @@ def principal_line(
 ) -> tuple[tuple[Player, int], ...]:
     """Canonical optimal play after opening at ``start``: both players
     pick the lowest-id move among their value-optimal options."""
-    _check_size(instance)
+    search = _Search(instance, policy)
     if not 0 <= start < instance.vertex_count:
         raise ValueError(f"start vertex {start} does not exist")
-    search = _Search(instance, policy)
     return ((Player.FIRST, start),) + search.line_from(*search.state(1 << start, 0))
 
 
@@ -317,12 +310,12 @@ def optimal_responses(
 ) -> tuple[int, ...]:
     """All of Second's value-optimal first replies to opening ``start``,
     in increasing vertex id."""
-    _check_size(instance)
+    search = _Search(instance, policy)
     if instance.vertex_count < 2:
         raise ValueError("responses need at least two vertices")
     if not 0 <= start < instance.vertex_count:
         raise ValueError(f"start vertex {start} does not exist")
-    return _replies(_Search(instance, policy), start)
+    return _replies(search, start)
 
 
 def canonical_strategy(instance: Instance, policy: TiePolicy):
@@ -332,7 +325,6 @@ def canonical_strategy(instance: Instance, policy: TiePolicy):
     ties toward the lowest vertex id, so two canonical strategies facing
     each other reproduce ``principal_line``.
     """
-    _check_size(instance)
     search = _Search(instance, policy)
 
     def strategy(_instance: Instance, state: GameState) -> int:
@@ -345,10 +337,9 @@ def canonical_strategy(instance: Instance, policy: TiePolicy):
 def response_map(instance: Instance, policy: TiePolicy) -> dict[int, int]:
     """Second's canonical reply to every opening: the lowest-id vertex
     among the value-optimal responses.  Needs at least two vertices."""
-    _check_size(instance)
+    search = _Search(instance, policy)
     if instance.vertex_count < 2:
         raise ValueError("response map needs at least two vertices")
-    search = _Search(instance, policy)
     return {
         start: _replies(search, start)[0] for start in range(instance.vertex_count)
     }

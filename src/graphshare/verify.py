@@ -14,9 +14,8 @@ runner owns the subseeds, the case ids and the failure records; the
 other suites hand their failing instances to the same record builder.
 
 A suite's vertex-count parameter is capped at the vertex cap of the
-code it runs (the solver's, the brute-force oracle's, the exhaustive
-audit's or the alternating search's), and a larger override is refused
-before the first case is drawn.
+code it runs, and a larger override is refused, in a message naming
+that cap, before the first case is drawn.
 
 Tied draws under the forbid policy are resampled, never counted as
 failures: the one-half tree bound assumes distinct subset sums, so a
@@ -33,13 +32,14 @@ runs with equal seeds produce byte-identical reports.
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .adversary import ALTERNATE_VERTEX_CAP, alternate_optimize, hill_climb, tree_shapes
-from .core import GraphShareError, Instance, Player, TiePolicy
+from .core import GraphShareError, Instance, Player, TiePolicy, VertexCap
 from .generators import (
     gen_cycle7_family,
     gen_random_connected,
@@ -126,23 +126,9 @@ def escape_dump(text: str) -> str:
 
 
 def unescape_dump(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Undo escape_dump left to right: only ``\\\\`` and ``\\n`` are
+    escapes; any other backslash, a trailing one too, is kept."""
+    return re.sub(r"\\([\\n])", lambda m: "\n" if m[1] == "n" else "\\", text)
 
 
 def _subseeds(seed: int, count: int) -> list[int]:
@@ -375,10 +361,9 @@ def _suite_tie_tree_search(seed: int, params: dict) -> _SuiteResult:
     return len(shapes), found, records
 
 
-# A suite's size cap: the parameter, its largest value and the code
-# whose vertex cap that is.
-_Cap = tuple[str, int, str]
-_SOLVER_CAP = ("max_vertices", SOLVE_VERTEX_CAP, "solver")
+# A suite's size cap: the parameter and the vertex cap of the code it runs.
+_Cap = tuple[str, VertexCap]
+_SOLVER_CAP = ("max_vertices", SOLVE_VERTEX_CAP)
 
 # Suite name -> (suite function, size cap, default sizes and thresholds),
 # in the order reports list them.
@@ -400,19 +385,19 @@ _SUITES: dict[str, tuple[Callable[[int, dict], _SuiteResult], _Cap | None, dict]
     ),
     "lead-invariant": (
         _corpus(_draw_connected, _check_lead_invariant),
-        ("max_vertices", AUDIT_EXHAUSTIVE_CAP, "exhaustive audit"),
+        ("max_vertices", AUDIT_EXHAUSTIVE_CAP),
         {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
     ),
     "oracle-equivalence": (
         _corpus(_draw_connected, _check_oracle_equivalence),
-        ("max_vertices", BRUTE_VERTEX_CAP, "brute-force oracle"),
+        ("max_vertices", BRUTE_VERTEX_CAP),
         {"cases": 210, "max_vertices": 6, "weight_max": 10**9},
     ),
     "cycle7-family": (_suite_cycle7_family, None, {"m_values": (1000, 100000)}),
     "edge-family": (_suite_edge_family, None, {"k_max": 50}),
     "tie-tree-search": (
         _suite_tie_tree_search,
-        ("vertices", ALTERNATE_VERTEX_CAP, "alternating search"),
+        ("vertices", ALTERNATE_VERTEX_CAP),
         {
             "vertices": 9,
             "hill_iters": 25,
@@ -445,7 +430,8 @@ def _check_param(suite: str, key: str, value, default, cap: _Cap | None) -> None
         raise GraphShareError(f"{prefix} at least {floor}, got {value!r}")
     if cap and key == cap[0] and value > cap[1]:
         raise GraphShareError(
-            f"{prefix} at most {cap[1]}, the {cap[2]}'s vertex cap; got {value!r}"
+            f"{prefix} at most {cap[1]}, the {cap[1].what}'s vertex cap; "
+            f"got {value!r}"
         )
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphshare import cli, generators
 from graphshare.adversary import GraphShape
 from graphshare.cli import (
     EXIT_OK,
@@ -65,6 +66,15 @@ class TestSolveCommand:
     def test_bad_start(self, cycle7_file, capsys):
         assert main(["solve", cycle7_file, "--start", "11"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_start_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("solved before the start vertex was checked")
+
+        monkeypatch.setattr(cli, "solve", never)
+        path = write_instance(tmp_path, TRIANGLE)
+        assert main(["solve", path, "--start", "99"]) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == "error: start vertex 99 does not exist\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == EXIT_USAGE
@@ -133,6 +143,16 @@ class TestGenCommand:
     def test_seed_required_for_random_kinds(self, capsys):
         assert main(["gen", "--kind", "tree:6"]) == EXIT_USAGE
         assert main(["gen", "--kind", "connected:6,1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("kind", ["tree:65", "connected:65,1"])
+    def test_random_kind_above_the_cap_is_never_drawn(self, kind, capsys, monkeypatch):
+        def refuse(rng, n):
+            raise AssertionError(f"tree of {n} vertices drawn")
+
+        monkeypatch.setattr(generators, "_prufer_edges", refuse)
+        assert main(["gen", "--kind", kind, "--seed", "1"]) == EXIT_USAGE
+        message = "65 vertices exceed the bitmask encoding cap of 64"
+        assert message in assert_one_line_error(capsys)
 
     def test_bad_kinds(self, capsys):
         assert main(["gen", "--kind", "torus:5"]) == EXIT_USAGE
@@ -300,11 +320,12 @@ class TestAdversaryCommand:
         assert "--iters must be at least 1" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
-        "method, cap", [("alt", "capped at 10"), ("hill", "capped at 12")]
+        "method, cap",
+        [("alt", "alternating search cap of 10"), ("hill", "hill climb cap of 12")],
     )
     def test_tree_enumeration_above_the_cap_fails_fast(self, method, cap, capsys):
-        # the cap rejects the first tree; enumerating all trees on 40
-        # vertices first would not finish
+        # the token's vertex count meets the cap before any tree is
+        # built; enumerating all trees on 40 vertices would not finish
         argv = ["adversary", "--shape", "tree-enum:40", "--method", method,
                 "--seed", "1"]
         assert main(argv) == EXIT_USAGE
@@ -312,7 +333,10 @@ class TestAdversaryCommand:
 
     @pytest.mark.parametrize(
         "method, shape, cap",
-        [("alt", "cycle:11", "capped at 10"), ("hill", "cycle:13", "capped at 12")],
+        [
+            ("alt", "cycle:11", "alternating search cap of 10"),
+            ("hill", "cycle:13", "hill climb cap of 12"),
+        ],
     )
     def test_cycle_above_the_cap_is_never_built(
         self, method, shape, cap, capsys, monkeypatch

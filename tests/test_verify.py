@@ -281,6 +281,14 @@ def test_run_suites_script_quick_passes_every_suite():
         assert re.fullmatch(rf"suite={name} status=PASS cases=\d+ failures=0", line)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [("\\t", "\\t"), ("a\\", "a\\"), ("\\\\n", "\\n"), ("\\n\\\\", "\n\\")],
+)
+def test_unescape_keeps_every_backslash_that_is_no_escape(text, expected):
+    assert unescape_dump(text) == expected
+
+
 @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=200))
 def test_escape_round_trip(text):
     assert unescape_dump(escape_dump(text)) == text
