@@ -2,16 +2,22 @@
 """Run every verification suite and print the reports.
 
 --quick shrinks each suite to a smoke-test size; the default runs the
-full sizes the acceptance tests use (a few minutes in total).
+full sizes the acceptance tests use (a few minutes in total).  Runs from
+a checkout without an install: the repository's ``src`` comes first on
+the import path.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
-from graphshare.verify import SUITE_NAMES, run_suite
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from graphshare.verify import SUITE_NAMES, run_suite  # noqa: E402
 
 QUICK = {
     "general-third": {"cases": 60, "max_vertices": 9},

@@ -19,11 +19,14 @@ engineer the forced-move ties that push tree values below one half.
 The LP's weight floor ``EPSILON_FLOOR`` and strict-inequality slack
 ``MARGIN`` are fixed constants.  A candidate that a forbidden tie blocks
 is certified through its tie-free lift at ``LIFT_FINENESS``, whose
-relative perturbation stays below the weight floor.
+relative perturbation stays below the weight floor.  The lift's subset
+sums all differ, so no state of its play ties: every certified
+candidate has an exact value, under every policy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -323,7 +326,7 @@ def _integerize(weight_fractions) -> tuple[int, ...]:
 class IterationRecord:
     iteration: int
     lp_bound: Fraction
-    candidate_value: Fraction | None
+    candidate_value: Fraction
     best_value: Fraction
 
 
@@ -343,27 +346,30 @@ def _certified(instance: Instance, policy: TiePolicy) -> Fraction | None:
         return None
 
 
-def _tie_free_lift(weights: tuple[int, ...], fineness: int = 1) -> tuple[int, ...]:
-    """Scale by fineness * 2^n and add 2^v: all subset sums become
-    distinct.
+def _tie_free_lift(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """Scale by LIFT_FINENESS * 2^n and add 2^v: all subset sums become
+    distinct, so no state of play can tie.
 
     Two subsets with equal base sums differ in their added powers of
     two; unequal base sums differ by at least the scale, which exceeds
-    any difference of the added parts.  Larger fineness shrinks the
-    relative size of the perturbation."""
-    n = len(weights)
-    scale = max(1, fineness) << n
+    any difference of the added parts.  Each added part is below
+    1/LIFT_FINENESS of its scaled weight, so the relative perturbation
+    stays under the weight floor."""
+    scale = LIFT_FINENESS << len(weights)
     return tuple(w * scale + (1 << v) for v, w in enumerate(weights))
 
 
-def _certify_candidate(shape: GraphShape, weights: tuple[int, ...], policy: TiePolicy):
-    """The candidate instance and its exact value; when a forbidden tie
-    blocks play, its tie-free lift at ``LIFT_FINENESS`` instead."""
+def _certify_candidate(
+    shape: GraphShape, weights: tuple[int, ...], policy: TiePolicy
+) -> tuple[Instance, Fraction]:
+    """The candidate instance and its exact value.  Only a forbidden tie
+    can block the solve; the tie-free lift is certified instead, and
+    since the lift cannot tie, the value is always defined."""
     instance = shape.instance(weights)
     value = _certified(instance, policy)
     if value is None:
-        instance = shape.instance(_tie_free_lift(weights, LIFT_FINENESS))
-        value = _certified(instance, policy)
+        instance = shape.instance(_tie_free_lift(weights))
+        value = solve(instance, policy).value
     return instance, value
 
 
@@ -397,13 +403,9 @@ def alternate_optimize(
     iteration = 0
     for start in ladder:
         current, start_value = _certify_candidate(shape, start, policy)
-        if start_value is None:
-            continue
         if best_value is None or start_value < best_value:
-            best_instance = current
-            best_value = start_value
-        past_first_candidate = False
-        while True:
+            best_instance, best_value = current, start_value
+        for step in itertools.count():
             if iteration >= max_iters:
                 stop_reason = "max_iters"
                 break
@@ -417,11 +419,9 @@ def alternate_optimize(
             candidate, candidate_value = _certify_candidate(
                 shape, candidate_weights, policy
             )
-            improvement = Fraction(0)
-            if candidate_value is not None and candidate_value < best_value:
-                improvement = best_value - candidate_value
-                best_instance = candidate
-                best_value = candidate_value
+            stalled = candidate_value >= best_value - IMPROVEMENT_EPS
+            if candidate_value < best_value:
+                best_instance, best_value = candidate, candidate_value
             trace.append(
                 IterationRecord(
                     iteration=iteration,
@@ -431,18 +431,13 @@ def alternate_optimize(
                 )
             )
             iteration += 1
-            if candidate_value is None:
-                break
             # a chain's first candidate may certify worse than its seed
             # and still be worth extracting from; later stalls end it
-            if past_first_candidate and improvement <= IMPROVEMENT_EPS:
+            if step and stalled:
                 break
-            past_first_candidate = True
             current = candidate
         if stop_reason == "max_iters":
             break
-    if best_value is None:
-        raise TieEncounteredError(0, 0)
     return AdversaryResult(
         instance=best_instance,
         value=best_value,
@@ -479,11 +474,12 @@ def hill_climb(
 
     bases = _start_ladder(shape, policy)
     bases.append(tuple(rng.randint(1, max(4, 4 * n)) for _ in range(n)))
-    best_weights, best_value = None, None
-    for base in bases:
-        instance, value = _certify_candidate(shape, base, policy)
-        if value is not None and (best_value is None or value < best_value):
-            best_weights, best_value = instance.weights, value
+    # min keeps the first of equally valued bases
+    best_instance, best_value = min(
+        (_certify_candidate(shape, base, policy) for base in bases),
+        key=lambda found: found[1],
+    )
+    best_weights = best_instance.weights
     weights, value = best_weights, best_value
     trace = [
         IterationRecord(

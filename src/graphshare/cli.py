@@ -32,12 +32,12 @@ from .core import (
     VertexCap,
     legal_moves,
     mask_to_set,
-    mover,
     play_out,
 )
 from .generators import gen_cycle7_family, gen_random_connected, gen_random_tree
 from .instance_io import format_instance, parse_instance
 from .solve import (
+    SOLVE_VERTEX_CAP,
     SOLVE_WARN_VERTICES,
     canonical_strategy,
     format_fraction,
@@ -71,13 +71,14 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     instance = _read_instance(args.file)
     if args.start is not None and not 0 <= args.start < instance.vertex_count:
         raise _UsageError(f"start vertex {args.start} does not exist")
+    SOLVE_VERTEX_CAP.check(instance.vertex_count)
     if instance.vertex_count > SOLVE_WARN_VERTICES:
         print(
             f"warning: {instance.vertex_count} vertices; exact solving "
             "may take a while",
             file=sys.stderr,
         )
-    policy = TiePolicy.from_token(args.policy)
+    policy = TiePolicy(args.policy)
     report = solve(instance, policy)
     if args.start is None:
         out.write(report.render())
@@ -154,18 +155,17 @@ def run_play(
                 continue
             return vertex
 
+    engine_side = Player.SECOND if human_side is Player.FIRST else Player.FIRST
+
     def engine_move(inst: Instance, state: GameState) -> int:
         vertex = engine(inst, state)
-        side = mover(inst, state, policy)
         output_stream.write(
-            f"engine ({side.value}) takes {vertex} "
+            f"engine ({engine_side.value}) takes {vertex} "
             f"(weight {inst.weights[vertex]})\n"
         )
         return vertex
 
-    strategies = {human_side: human}
-    other = Player.SECOND if human_side is Player.FIRST else Player.FIRST
-    strategies[other] = engine_move
+    strategies = {human_side: human, engine_side: engine_move}
     try:
         outcome = play_out(
             instance, policy, strategies[Player.FIRST], strategies[Player.SECOND]
@@ -204,7 +204,7 @@ def run_play(
 
 def _cmd_play(args: argparse.Namespace, out: IO[str]) -> int:
     instance = _read_instance(args.file)
-    policy = TiePolicy.from_token(args.policy)
+    policy = TiePolicy(args.policy)
     side = Player.FIRST if args.human == "first" else Player.SECOND
     run_play(instance, policy, side, sys.stdin, out)
     return EXIT_OK
@@ -312,7 +312,7 @@ def _parse_shapes(token: str, cap: VertexCap) -> list[GraphShape]:
 
 def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     search, cap, budget = _METHODS[args.method]
-    policy = TiePolicy.from_token(args.policy)
+    policy = TiePolicy(args.policy)
     options = {}
     if args.method == "hill":
         if args.seed is None:
@@ -331,14 +331,9 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     )
     if args.trace:
         for record in result.trace:
-            candidate_text = (
-                "-"
-                if record.candidate_value is None
-                else format_fraction(record.candidate_value)
-            )
             print(
                 f"trace.{record.iteration}.lp_bound={format_fraction(record.lp_bound)}"
-                f" candidate={candidate_text}"
+                f" candidate={format_fraction(record.candidate_value)}"
                 f" best={format_fraction(record.best_value)}",
                 file=sys.stderr,
             )

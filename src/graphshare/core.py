@@ -104,13 +104,6 @@ class TiePolicy(Enum):
     FIRST_MOVES = "first"
     SECOND_MOVES = "second"
 
-    @classmethod
-    def from_token(cls, token: str) -> "TiePolicy":
-        for policy in cls:
-            if policy.value == token:
-                return policy
-        raise ValueError(f"unknown tie policy {token!r}")
-
     def __str__(self) -> str:
         return self.value
 
@@ -338,9 +331,9 @@ def play_out(
 ) -> Outcome:
     """Referee a full game between two strategies.
 
-    Every move is validated; a strategy returning an illegal move raises
-    IllegalMoveError carrying the step index.  Tie detection follows the
-    policy via ``mover``.
+    Every move goes through ``apply``; a strategy returning an illegal
+    move raises IllegalMoveError carrying the step index.  Tie detection
+    follows the policy via ``mover``.
     """
     state = GameState()
     full = instance.full_mask
@@ -349,17 +342,13 @@ def play_out(
         who = mover(instance, state, policy)
         strategy = strategy_first if who is Player.FIRST else strategy_second
         move = strategy(instance, state)
-        legal = legal_move_mask(instance, state)
-        if not isinstance(move, int) or move < 0 or not legal & (1 << move):
+        try:
+            state = apply(instance, state, move, policy)
+        except IllegalMoveError:
             raise IllegalMoveError(
                 f"{who} returned illegal move {move!r} at step {len(log)}",
                 step=len(log),
-            )
-        bit = 1 << move
-        if who is Player.FIRST:
-            state = GameState(state.first_mask | bit, state.second_mask)
-        else:
-            state = GameState(state.first_mask, state.second_mask | bit)
+            ) from None
         log.append((who, move))
     f = instance.weight_of(state.first_mask)
     return Outcome(

@@ -79,13 +79,11 @@ def parse_instance(text: str) -> Instance:
     return Instance(weights=tuple(weights), edges=tuple(edges))
 
 
-def format_instance(instance: Instance, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for piece in comment.splitlines():
-            lines.append(f"# {piece}")
-    lines.append(f"{instance.vertex_count} {len(instance.edges)}")
-    lines.append(" ".join(str(w) for w in instance.weights))
+def format_instance(instance: Instance) -> str:
+    lines = [
+        f"{instance.vertex_count} {len(instance.edges)}",
+        " ".join(str(w) for w in instance.weights),
+    ]
     for u, v in instance.edges:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"

@@ -14,10 +14,12 @@ from graphshare.adversary import (
     ALTERNATE_VERTEX_CAP,
     EPSILON_FLOOR,
     HILL_VERTEX_CAP,
+    LIFT_FINENESS,
     MARGIN,
     AdversaryResult,
     GraphShape,
     IterationRecord,
+    _certify_candidate,
     _known_seeds,
     _tie_free_lift,
     alternate_optimize,
@@ -34,7 +36,7 @@ from graphshare.core import (
     TiePolicy,
     bits,
 )
-from graphshare.generators import gen_cycle7_family
+from graphshare.generators import gen_cycle7_family, subset_sums_distinct
 from graphshare.solve import solve
 
 from conftest import instances
@@ -200,9 +202,8 @@ class TestTieFreeLift:
             (7, 7, 14, 14, 21, 21, 28, 28),
         ],
     )
-    @pytest.mark.parametrize("fineness", [1, 1000])
-    def test_all_subset_sums_distinct(self, base, fineness):
-        lifted = _tie_free_lift(base, fineness)
+    def test_all_subset_sums_distinct(self, base):
+        lifted = _tie_free_lift(base)
         sums = set()
         n = len(lifted)
         for r in range(n + 1):
@@ -211,12 +212,32 @@ class TestTieFreeLift:
         assert len(sums) == 2**n
 
     def test_relative_perturbation_shrinks_with_fineness(self):
-        base = (10, 20, 30)
-        lifted = _tie_free_lift(base, 1000)
-        scale = 1000 << 3
+        base = (1, 20, 30, 1)
+        lifted = _tie_free_lift(base)
+        scale = LIFT_FINENESS << 4
         for v, w in enumerate(base):
             assert lifted[v] == w * scale + (1 << v)
-            assert Fraction(lifted[v], scale) - w <= Fraction(1, 1000)
+            assert Fraction(lifted[v] - w * scale, w * scale) < EPSILON_FLOOR
+
+    @given(
+        inst=instances(max_n=7, weight_max=4),
+        policy=st.sampled_from(list(TiePolicy)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certified_candidate_always_has_its_exact_value(self, inst, policy):
+        shape = GraphShape.from_instance(inst)
+        certified, value = _certify_candidate(shape, inst.weights, policy)
+        assert isinstance(value, Fraction)
+        assert value == solve(certified, policy).value
+        assert certified.edges == inst.edges
+        lifted = _tie_free_lift(inst.weights)
+        assert certified.weights in (inst.weights, lifted)
+        assert subset_sums_distinct(lifted)
+        if certified.weights != inst.weights:
+            # only a forbidden tie sends a candidate to its lift
+            assert policy is TiePolicy.FORBID
+            with pytest.raises(TieEncounteredError):
+                solve(inst, policy)
 
 
 class TestAlternateOptimize:

@@ -100,6 +100,20 @@ class TestSolveCommand:
         assert "warning: 17 vertices" in captured.err
         assert "value=" in captured.out
 
+    def test_above_the_solver_cap_is_refused_without_a_warning(
+        self, tmp_path, capsys
+    ):
+        inst = Instance(
+            weights=tuple(range(1, 20)),
+            edges=tuple((i, i + 1) for i in range(18)),
+        )
+        path = write_instance(tmp_path, inst)
+        assert main(["solve", path]) == EXIT_USAGE
+        assert (
+            assert_one_line_error(capsys)
+            == "error: 19 vertices exceed the solver cap of 18\n"
+        )
+
     def test_tie_aborts_with_exit_3(self, tmp_path, capsys):
         inst = Instance(weights=(1, 1, 1, 1), edges=((0, 1), (1, 2), (2, 3)))
         path = write_instance(tmp_path, inst)
@@ -295,7 +309,7 @@ class TestAdversaryCommand:
         assert plain.err == ""
         records = traced.err.splitlines()
         assert records
-        pattern = r"trace\.(\d+)\.lp_bound=\d+/\d+ candidate=(\d+/\d+|-) best=(\d+/\d+)"
+        pattern = r"trace\.(\d+)\.lp_bound=\d+/\d+ candidate=(\d+/\d+) best=(\d+/\d+)"
         matches = [re.fullmatch(pattern, line) for line in records]
         assert all(matches)
         assert [int(m.group(1)) for m in matches] == list(range(len(records)))

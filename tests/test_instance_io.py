@@ -122,12 +122,6 @@ class TestFormat:
         inst = Instance(weights=(5, 7, 11), edges=((0, 1), (1, 2), (0, 2)))
         assert format_instance(inst) == TRIANGLE_TEXT
 
-    def test_comment_lines_prefixed(self):
-        inst = Instance(weights=(1, 2), edges=((0, 1),))
-        text = format_instance(inst, comment="first\nsecond")
-        assert text.startswith("# first\n# second\n2 1\n")
-        assert parse_instance(text).weights == (1, 2)
-
     @given(instances(max_n=7, weight_max=10**12))
     def test_round_trip(self, inst):
         back = parse_instance(format_instance(inst))
