@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphshare import adversary
 from graphshare.adversary import (
     ALTERNATE_VERTEX_CAP,
     EPSILON_FLOOR,
@@ -202,8 +203,13 @@ class TestTieFreeLift:
             (7, 7, 14, 14, 21, 21, 28, 28),
         ],
     )
-    def test_all_subset_sums_distinct(self, base):
+    @pytest.mark.parametrize("fineness", [1, 1000])
+    def test_all_subset_sums_distinct(self, base, fineness, monkeypatch):
+        # distinctness needs only a fineness of 1, not LIFT_FINENESS's margin
+        monkeypatch.setattr(adversary, "LIFT_FINENESS", fineness)
         lifted = _tie_free_lift(base)
+        scale = fineness << len(base)
+        assert lifted == tuple(w * scale + (1 << v) for v, w in enumerate(base))
         sums = set()
         n = len(lifted)
         for r in range(n + 1):
