@@ -8,6 +8,10 @@ total by LP, and certify the rounded candidate with the exact solver.
 Alternating these steps descends toward tight instances; a seeded hill
 climb over integer weights provides an LP-free baseline.
 
+A forest node is one reachable state, both holdings with its mover and
+tie mark, held once in depth-first order; each node is one LP row, so
+that order fixes the LP's pivots and every search trace.
+
 The LP bound t only caps First's guarantee for plays consistent with the
 annotations, so a candidate's value is always re-certified exactly and
 the LP number is never reported as a game value.
@@ -72,10 +76,6 @@ class GraphShape:
     def single_edge(cls) -> "GraphShape":
         return cls(2, ((0, 1),))
 
-    @classmethod
-    def from_instance(cls, instance: Instance) -> "GraphShape":
-        return cls(instance.vertex_count, instance.edges)
-
 
 def tree_shapes(n: int):
     """All trees on n vertices up to isomorphism, in a fixed order,
@@ -97,16 +97,14 @@ def tree_shapes(n: int):
 
 @dataclass(frozen=True)
 class ForestNode:
-    """One annotated state: who moves there and whether the totals were
-    exactly tied when play reached it.  Terminal nodes carry mover None.
-    Second nodes have exactly one child (the canonical optimal reply);
-    First nodes branch on every legal move."""
+    """One annotated state: both holdings, who moves there, and whether
+    the totals were exactly tied when play reached it.  Terminal nodes
+    carry mover None."""
 
     first_mask: int
     second_mask: int
     mover: Player | None
     tied: bool
-    children: tuple["ForestNode", ...]
 
     @property
     def terminal(self) -> bool:
@@ -115,36 +113,23 @@ class ForestNode:
 
 @dataclass(frozen=True)
 class AnnotatedScenarioForest:
-    """Per-opening scenario trees with shared subtrees.
-
-    Equal states reached along different prefixes are represented by one
-    node object, so the structure is a rooted DAG per opening; the
-    out-degree invariants hold at every node.
-    """
+    """The states reachable over all openings when Second plays only its
+    canonical optimal reply and First tries every legal move, each held
+    once as a node, in depth-first order: openings and a node's
+    successors in vertex order, a state reached again in its first
+    place.  That order is ``lp_minimize``'s row order, so it fixes the
+    LP's pivots and every search trace."""
 
     vertex_count: int
     policy: TiePolicy
-    roots: tuple[tuple[int, ForestNode], ...]
+    _nodes: tuple[ForestNode, ...]
 
-    def nodes(self):
-        """Every distinct node, roots first, children in construction
-        order; deterministic."""
-        seen: set[int] = set()
-        stack = [root for _, root in reversed(self.roots)]
-        while stack:
-            node = stack.pop()
-            key = id(node)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield node
-            stack.extend(reversed(node.children))
+    def nodes(self) -> tuple[ForestNode, ...]:
+        """Every node, in the forest's order."""
+        return self._nodes
 
     def signature(self) -> frozenset:
-        return frozenset(
-            (node.first_mask, node.second_mask, node.mover, node.tied)
-            for node in self.nodes()
-        )
+        return frozenset(self._nodes)
 
 
 def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioForest:
@@ -152,27 +137,22 @@ def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioFo
     annotated forest over all openings."""
     ALTERNATE_VERTEX_CAP.check(instance.vertex_count)
     search = _Search(instance, policy)
-    memo: dict[tuple[int, int], ForestNode] = {}
-
-    def build(fm: int, sm: int, f: int, s: int, reach: int) -> ForestNode:
-        key = (fm, sm)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if fm | sm == search.full:
-            node = ForestNode(fm, sm, None, False, ())
-        else:
-            who, tied, found = search.branches(fm, sm, f, s, reach)
-            children = tuple([build(*child) for _v, child in found])
-            node = ForestNode(fm, sm, who, tied, children)
-        memo[key] = node
-        return node
-
+    # keyed by holdings; insertion order is the forest's node order
+    nodes: dict[tuple[int, int], ForestNode] = {}
     _first, _tied, openings = search.branches(0, 0, 0, 0, 0)
-    roots = [(start, build(*opening)) for start, opening in openings]
-    return AnnotatedScenarioForest(
-        vertex_count=instance.vertex_count, policy=policy, roots=tuple(roots)
-    )
+    stack = [opening for _v, opening in reversed(openings)]
+    while stack:
+        state = stack.pop()
+        fm, sm = state[:2]
+        if (fm, sm) in nodes:
+            continue
+        if fm | sm == search.full:
+            nodes[fm, sm] = ForestNode(fm, sm, None, False)
+            continue
+        who, tied, found = search.branches(*state)
+        nodes[fm, sm] = ForestNode(fm, sm, who, tied)
+        stack.extend(child for _v, child in reversed(found))
+    return AnnotatedScenarioForest(instance.vertex_count, policy, tuple(nodes.values()))
 
 
 # Known-hard weight layouts as (reference edges, reference weights).
@@ -377,24 +357,20 @@ def alternate_optimize(
     shape: GraphShape,
     policy: TiePolicy,
     max_iters: int = 40,
-    initial_weights: tuple[int, ...] | None = None,
 ) -> AdversaryResult:
     """Alternate exact solving, forest extraction, and LP minimization.
 
-    Runs one extract/minimize/certify chain per ladder start (an
-    optional caller-provided warm start, known-hard seeds for recognized
-    shapes, then neutral patterns), sharing a global iteration budget
-    and forest-signature memory.  A chain ends on a repeated forest or a
-    stalled best; the search ends when the budget or the ladder runs
-    out.  Deterministic in its inputs, and the reported value is always
-    the exact solver's, never the LP bound.
+    Runs one extract/minimize/certify chain per ladder start (known-hard
+    seeds for recognized shapes, then neutral patterns), sharing a
+    global iteration budget and forest-signature memory.  A chain ends
+    on a repeated forest or a stalled best; the search ends when the
+    budget or the ladder runs out.  Deterministic in its inputs, and the
+    reported value is always the exact solver's, never the LP bound.
     """
     ALTERNATE_VERTEX_CAP.check(shape.vertex_count)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     ladder = _start_ladder(shape, policy)
-    if initial_weights is not None:
-        ladder.insert(0, tuple(initial_weights))
     best_instance = None
     best_value = None
     seen_signatures: set[frozenset] = set()

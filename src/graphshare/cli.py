@@ -115,7 +115,8 @@ def run_play(
     The human is prompted whenever the rules make them the mover;
     illegal entries re-prompt.  Returns the final Outcome, or None when
     the input ends mid-game.  The game loop itself is ``play_out``: this
-    function only supplies strategies and narration.
+    function only supplies strategies and narration.  Under forbid, a
+    reachable tie raises TieEncounteredError before the first move.
     """
     total = instance.total_weight
     engine = canonical_strategy(instance, policy)
@@ -173,11 +174,6 @@ def run_play(
     except _InputEnded:
         output_stream.write("input ended; game aborted\n")
         return None
-    except TieEncounteredError:
-        output_stream.write(
-            "totals tied: the forbid policy cannot continue; game aborted\n"
-        )
-        raise
     output_stream.write(
         f"final: first[{_vertex_list(outcome.first_set)}]="
         f"{format_fraction(outcome.first_value)} "
@@ -223,7 +219,8 @@ def _parse_param(token: str):
             num, den = text.split("/", 1)
             return key, Fraction(int(num), int(den))
         if "," in text:
-            return key, tuple(int(part) for part in text.split(","))
+            # a trailing comma closes a tuple, as in Python: "1000," is (1000,)
+            return key, tuple(int(part) for part in text.removesuffix(",").split(","))
         return key, int(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"cannot parse --param value {text!r}") from None
@@ -292,14 +289,17 @@ def _parse_shapes(token: str, cap: VertexCap) -> list[GraphShape]:
     """The shapes a ``--shape`` token names.  Their vertex count comes
     from the token and is checked against ``cap`` before any shape is
     built or enumerated."""
-    name, _, rest = token.partition(":")
+    name, colon, rest = token.partition(":")
     if name not in ("cycle7", "cycle", "tree-enum", "edge"):
         raise _UsageError(
             f"unknown shape {token!r}; expected cycle7, cycle:<n>, "
             "tree-enum:<n>, or edge"
         )
+    fixed = {"cycle7": 7, "edge": 2}
+    if name in fixed and colon:
+        raise _UsageError(f"bad --shape argument {token!r}: {name} takes no count")
     try:
-        n = {"cycle7": 7, "edge": 2}.get(name) or int(rest)
+        n = fixed.get(name) or int(rest)
         cap.check(n)
         if name == "edge":
             return [GraphShape.single_edge()]

@@ -15,6 +15,7 @@ from .core import MAX_VERTICES, GraphShareError, Instance, TiePolicy, TieEncount
 from .solve import solve
 
 CYCLE7_MIN_M = 96
+RESAMPLE_ATTEMPTS = 50
 
 
 class MTooSmallError(GraphShareError):
@@ -130,21 +131,20 @@ def subset_sums_distinct(weights: tuple[int, ...]) -> bool:
     return True
 
 
-def resample_on_tie(
-    generator_call: Callable[[int], Instance], attempts: int = 50
-) -> tuple[Instance, int]:
+def resample_on_tie(generator_call: Callable[[int], Instance]) -> tuple[Instance, int]:
     """Draw instances until one solves tie-free under the forbid policy.
 
     ``generator_call(k)`` must produce the k-th attempt's instance (vary
     the seed with k).  Returns the accepted instance and the number of
-    rejected draws; raises ExhaustedAttemptsError when every attempt ties.
+    rejected draws; raises ExhaustedAttemptsError when all
+    ``RESAMPLE_ATTEMPTS`` attempts tie.
 
     A draw whose subset sums are all distinct cannot reach a tie, so it
     is accepted by that screen without a search.  Only a draw whose sums
     collide is solved under forbid, which raises iff a tie is reachable
     on its graph.
     """
-    for attempt in range(attempts):
+    for attempt in range(RESAMPLE_ATTEMPTS):
         candidate = generator_call(attempt)
         if subset_sums_distinct(candidate.weights):
             return candidate, attempt
@@ -153,4 +153,6 @@ def resample_on_tie(
         except TieEncounteredError:
             continue
         return candidate, attempt
-    raise ExhaustedAttemptsError(f"no tie-free instance in {attempts} attempts")
+    raise ExhaustedAttemptsError(
+        f"no tie-free instance in {RESAMPLE_ATTEMPTS} attempts"
+    )

@@ -30,15 +30,18 @@ from graphshare.adversary import (
     tree_shapes,
 )
 from graphshare.core import (
+    GameState,
     Instance,
     InstanceTooLargeError,
     Player,
     TieEncounteredError,
     TiePolicy,
+    apply,
     bits,
+    legal_moves,
 )
 from graphshare.generators import gen_cycle7_family, subset_sums_distinct
-from graphshare.solve import solve
+from graphshare.solve import solve, value_from
 
 from conftest import instances
 
@@ -58,7 +61,7 @@ class TestGraphShape:
 
     def test_round_trip_through_instance(self):
         inst = gen_cycle7_family(1000)
-        shape = GraphShape.from_instance(inst)
+        shape = GraphShape(inst.vertex_count, inst.edges)
         assert shape.instance(inst.weights) == inst
 
     def test_tree_shape_counts(self):
@@ -88,21 +91,20 @@ class TestExtractForest:
         policy = TiePolicy.FIRST_MOVES
         forest = extract_forest(inst, policy)
         assert forest.vertex_count == inst.vertex_count
-        assert [start for start, _ in forest.roots] == list(
-            range(inst.vertex_count)
-        )
-        for start, root in forest.roots:
-            assert root.first_mask == 1 << start
-            assert root.second_mask == 0
+        nodes = forest.nodes()
+        states = [(node.first_mask, node.second_mask) for node in nodes]
+        assert len(set(states)) == len(states)
+        assert states[0] == (1, 0)
+        # the openings, then each First node's every extension and each
+        # Second node's canonical reply: the lowest-id value-keeping move
+        expected = {(1 << v, 0) for v in range(inst.vertex_count)}
         full = inst.full_mask
-        for node in forest.nodes():
-            taken = node.first_mask | node.second_mask
+        for node in nodes:
+            state = GameState(node.first_mask, node.second_mask)
             assert node.first_mask & node.second_mask == 0
-            f = sum(inst.weights[v] for v in range(inst.vertex_count) if node.first_mask >> v & 1)
-            s = sum(inst.weights[v] for v in range(inst.vertex_count) if node.second_mask >> v & 1)
+            f, s = state.totals(inst)
             if node.terminal:
-                assert taken == full
-                assert node.children == ()
+                assert state.taken_mask == full
                 assert not node.tied
                 continue
             assert node.tied == (f == s)
@@ -112,19 +114,21 @@ class TestExtractForest:
                 assert node.mover is Player.SECOND
             else:
                 assert node.mover is Player.FIRST  # first-moves policy
-            legal = inst.reach_mask(taken) & ~taken
+            moves = sorted(legal_moves(inst, state))
             if node.mover is Player.SECOND:
-                assert len(node.children) == 1
-            else:
-                assert len(node.children) == legal.bit_count()
-            for child in node.children:
-                grown = (child.first_mask | child.second_mask) & ~taken
-                assert grown.bit_count() == 1
-                assert grown & legal
-                if node.mover is Player.FIRST:
-                    assert child.first_mask == node.first_mask | grown
-                else:
-                    assert child.second_mask == node.second_mask | grown
+                value = value_from(inst, policy, state)
+                moves = [
+                    next(
+                        v
+                        for v in moves
+                        if value_from(inst, policy, apply(inst, state, v, policy))
+                        == value
+                    )
+                ]
+            for v in moves:
+                child = apply(inst, state, v, policy)
+                expected.add((child.first_mask, child.second_mask))
+        assert set(states) == expected
 
     def test_signature_is_reproducible(self):
         inst = gen_cycle7_family(1000)
@@ -231,7 +235,7 @@ class TestTieFreeLift:
     )
     @settings(max_examples=60, deadline=None)
     def test_certified_candidate_always_has_its_exact_value(self, inst, policy):
-        shape = GraphShape.from_instance(inst)
+        shape = GraphShape(inst.vertex_count, inst.edges)
         certified, value = _certify_candidate(shape, inst.weights, policy)
         assert isinstance(value, Fraction)
         assert value == solve(certified, policy).value
@@ -309,16 +313,6 @@ class TestAlternateOptimize:
     def test_single_edge_pins_one_half(self):
         result = alternate_optimize(GraphShape.single_edge(), TiePolicy.FORBID)
         assert Fraction(1, 2) < result.value <= Fraction(1, 2) + Fraction(1, 10**5)
-
-    def test_warm_start_bounds_the_result(self):
-        shape = GraphShape.cycle(5)
-        warm = (16, 1, 8, 2, 4)  # distinct subset sums, so certifiably tie-free
-        warm_value = solve(shape.instance(warm), TiePolicy.FORBID).value
-        result = alternate_optimize(
-            shape, TiePolicy.FORBID, max_iters=1, initial_weights=warm
-        )
-        assert result.value <= warm_value
-        assert result.stop_reason == "max_iters"
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

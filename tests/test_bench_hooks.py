@@ -4,7 +4,11 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
+
+from graphshare.adversary import GraphShape, alternate_optimize, extract_forest
+from graphshare.core import TiePolicy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -16,3 +20,22 @@ def test_rebound_names_resolve_to_callables(monkeypatch):
     assert tracing.REBOUND
     for module, attr in tracing.REBOUND:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_tracer_counts_forest_nodes(monkeypatch):
+    # the tracer keeps each extracted forest by its class name and counts
+    # its nodes through nodes()
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer(time.perf_counter)
+    with tracing.patched(tracer):
+        alternate_optimize(GraphShape.cycle(7), TiePolicy.FORBID, max_iters=3)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["adversary.extract.calls"] == 4
+    assert metrics["adversary.forest_nodes"] == 314
+    instances = [span[5] for span in tracer.spans if span[0] == "extract_forest"]
+    assert sum(
+        len(extract_forest(instance, TiePolicy.FORBID).nodes())
+        for instance in instances
+    ) == 314

@@ -195,6 +195,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "cycle7.M100000.value=100069/300095" in out
 
+    def test_trailing_comma_makes_a_one_element_tuple(self, capsys):
+        code = main(
+            ["verify", "--suite", "cycle7-family", "--param", "m_values=1000,"]
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "status=PASS cases=1 failures=0" in out
+        assert "cycle7.M1000.value=1069/3095" in out
+
     def test_failing_suite(self, capsys):
         code = main(
             [
@@ -229,6 +238,7 @@ class TestVerifyCommand:
             "cases=1/0",
             "cases=a/b",
             "cases=1,x",
+            "m_values=,",
             # parsable, but of the wrong type or out of range
             "cases=1,2",
             "cases=1/2",
@@ -320,6 +330,11 @@ class TestAdversaryCommand:
 
     def test_bad_shape(self, capsys):
         assert main(["adversary", "--shape", "grid:3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("shape", ["cycle7:5", "cycle7:", "edge:junk"])
+    def test_count_on_a_fixed_shape_is_refused(self, shape, capsys):
+        assert main(["adversary", "--shape", shape]) == EXIT_USAGE
+        assert repr(shape) in assert_one_line_error(capsys)
 
     def test_empty_tree_enumeration(self, capsys):
         assert main(["adversary", "--shape", "tree-enum:0"]) == EXIT_USAGE

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphshare import generators
 from graphshare.core import Instance, TieEncounteredError, TiePolicy
 from graphshare.generators import (
     CYCLE7_MIN_M,
@@ -113,12 +114,17 @@ class TestResampleOnTie:
         assert rejected == 0
         assert inst.weights == (5,)
 
-    def test_exhaustion(self):
-        always_tied = lambda k: Instance(
-            weights=(1, 1, 1, 1), edges=((0, 1), (1, 2), (2, 3))
-        )
-        with pytest.raises(ExhaustedAttemptsError):
-            resample_on_tie(always_tied, attempts=5)
+    def test_exhaustion(self, monkeypatch):
+        calls = []
+
+        def always_tied(k):
+            calls.append(k)
+            return Instance(weights=(1, 1, 1, 1), edges=((0, 1), (1, 2), (2, 3)))
+
+        monkeypatch.setattr(generators, "RESAMPLE_ATTEMPTS", 5)
+        with pytest.raises(ExhaustedAttemptsError, match="in 5 attempts"):
+            resample_on_tie(always_tied)
+        assert calls == [0, 1, 2, 3, 4]
 
 
 def _search_only(generator_call, attempts):
@@ -177,11 +183,12 @@ class TestSubsetSumScreen:
         cap = n * (n - 1) // 2 - (n - 1)
         extra = data.draw(st.integers(min_value=0, max_value=min(3, cap)))
         draws = _tie_prone_draws(n, extra, seed)
-        try:
-            expected = _search_only(draws, attempts=10)
-        except ExhaustedAttemptsError:
-            with pytest.raises(ExhaustedAttemptsError):
-                resample_on_tie(draws, attempts=10)
-            return
-        instance, rejected = resample_on_tie(draws, attempts=10)
-        assert (instance, rejected) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "RESAMPLE_ATTEMPTS", 10)
+            try:
+                expected = _search_only(draws, attempts=10)
+            except ExhaustedAttemptsError:
+                with pytest.raises(ExhaustedAttemptsError):
+                    resample_on_tie(draws)
+                return
+            assert resample_on_tie(draws) == expected
