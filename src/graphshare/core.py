@@ -308,15 +308,21 @@ def legal_moves(instance: Instance, state: GameState) -> set[int]:
     return set(bits(legal_move_mask(instance, state)))
 
 
-def apply(
-    instance: Instance, state: GameState, move: int, policy: TiePolicy
-) -> GameState:
-    """Give ``move`` to the player whose turn it is and return the new state."""
+def _move_bit(instance: Instance, state: GameState, move: int) -> int:
+    """The bit of ``move``, or IllegalMoveError unless it is takeable."""
     if not isinstance(move, int) or not 0 <= move < instance.vertex_count:
         raise IllegalMoveError(f"vertex {move!r} does not exist")
     bit = 1 << move
     if not legal_move_mask(instance, state) & bit:
         raise IllegalMoveError(f"vertex {move} is not takeable now")
+    return bit
+
+
+def apply(
+    instance: Instance, state: GameState, move: int, policy: TiePolicy
+) -> GameState:
+    """Give ``move`` to the player whose turn it is and return the new state."""
+    bit = _move_bit(instance, state, move)
     who = mover(instance, state, policy)
     if who is Player.FIRST:
         return GameState(state.first_mask | bit, state.second_mask)
@@ -331,26 +337,34 @@ def play_out(
 ) -> Outcome:
     """Referee a full game between two strategies.
 
-    Every move goes through ``apply``; a strategy returning an illegal
-    move raises IllegalMoveError carrying the step index.  Tie detection
-    follows the policy via ``mover``.
+    Every move passes ``apply``'s legality check; a strategy returning
+    an illegal move raises IllegalMoveError carrying the step index.
+    Both totals are carried along, so each move's mover is decided once,
+    by ``mover_at``, which also detects ties as the policy says.
     """
     state = GameState()
+    f = s = 0
     full = instance.full_mask
+    weights = instance.weights
     log: list[tuple[Player, int]] = []
     while state.taken_mask != full:
-        who = mover(instance, state, policy)
-        strategy = strategy_first if who is Player.FIRST else strategy_second
+        who = mover_at(state.first_mask, state.second_mask, f, s, policy)
+        strategy = strategy_first if who is FIRST else strategy_second
         move = strategy(instance, state)
         try:
-            state = apply(instance, state, move, policy)
+            bit = _move_bit(instance, state, move)
         except IllegalMoveError:
             raise IllegalMoveError(
                 f"{who} returned illegal move {move!r} at step {len(log)}",
                 step=len(log),
             ) from None
+        if who is FIRST:
+            state = GameState(state.first_mask | bit, state.second_mask)
+            f += weights[move]
+        else:
+            state = GameState(state.first_mask, state.second_mask | bit)
+            s += weights[move]
         log.append((who, move))
-    f = instance.weight_of(state.first_mask)
     return Outcome(
         first_mask=state.first_mask,
         second_mask=state.second_mask,

@@ -10,21 +10,25 @@ one int, which merges states that split the same taken set differently
 works in integer weight and converts to a fraction of the total at the
 edges.
 
-The search expands every child of every reached state, which also makes
-tie detection exact under the forbid policy: solving raises
+The value search expands every child of every reached state, which
+also makes tie detection exact under the forbid policy: solving raises
 TieEncounteredError iff equal totals occur at any reachable nonempty
 state, including an exactly tied final split.
 
-One engine, ``_Search``, serves every view: its two expanders are
-``gain`` (the value search; ``best`` adds the current total) and
+One engine, ``_Search``, serves every view through three expanders:
+``gain`` (the value search; ``best`` adds the current total),
 ``optimal`` (the mover and its value-optimal moves, lowest vertex id
-first).  Lines, replies, the
-canonical strategy and the adversary's scenario forest are thin views
-over them and over one shared memo per call.
+first) and ``reaches`` (the zero-window decision "does First finish
+with at least T?", which stops at the first decisive move and so
+skips most states).  Lines, replies, the canonical strategy and the
+adversary's scenario forest are thin views over the first two and over
+one shared memo per call; ``value_at_least`` is the view over the
+third, for checks that only compare the value with a floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,8 +56,9 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
     masks, their totals and the union of the taken vertices' neighbor
-    masks.  Two expanders read it: ``gain``, the value search, and
-    ``optimal``, the mover with its value-optimal moves.  ``branches``
+    masks.  Three expanders read it: ``gain``, the value search,
+    ``optimal``, the mover with its value-optimal moves, and
+    ``reaches``, the decision against a target weight.  ``branches``
     picks the moves the scenario forest follows, and every view in this
     module and ``adversary.extract_forest`` is built on these.  The
     sign of the gap ``f - s`` names the mover; a zero gap goes to
@@ -68,6 +73,13 @@ class _Search:
     there the key would merge little and cost a multi-digit int; such
     searches keep the finer pair key ``(fm << n) | sm`` with the same
     stored values.
+
+    ``reaches`` stores a bool per state under the same key, and prunes
+    a state by its totals before the memo is read.  That is sound
+    because either key fixes ``f`` and ``s``: the pair key names both
+    holdings, and the gap key gives ``f + s = w(taken)`` and
+    ``f - s = d``.  So states that share a key share their totals, and
+    with them the pruning and the verdict.
 
     Construction refuses an instance above ``SOLVE_VERTEX_CAP``, so
     every view fails before any search.
@@ -137,6 +149,63 @@ class _Search:
                     best_val = r
         memo[key] = best_val
         return best_val
+
+    def reaches(self, target: int) -> bool:
+        """Whether First finishes with at least ``target`` weight under
+        optimal play: a zero-window search from the empty state.
+
+        A state answers yes once ``f >= target`` and no once
+        ``s > total - target``; otherwise First needs one child that
+        answers yes and Second one that answers no.  Moves are tried
+        heaviest first, lowest vertex id among equal weights, and the
+        first decisive child ends the state.  Verdicts hold for this
+        target only, so each call fills a fresh ``verdicts`` table, under
+        ``gain``'s key.  Each state's mover comes from
+        ``core.mover_at`` before it is pruned, so under forbid a tied
+        state the search visits raises TieEncounteredError, a tied final
+        split too; but pruning skips states, so a tie that ``solve``
+        would meet can go unseen.
+        """
+        weights = self.weights
+        nbr = self.nbr
+        full = self.full
+        shift = self.shift
+        gap_key = self.gap_key
+        policy = self.policy
+        give_up = self.total - target
+        order = sorted(range(shift), key=lambda v: -weights[v])
+        moves = tuple((1 << v, weights[v], nbr[v]) for v in order)
+        verdicts = self.verdicts = {}
+
+        def wins(fm: int, sm: int, f: int, s: int, reach: int) -> bool:
+            if f == s:
+                first_moves = mover_at(fm, sm, f, s, policy) is FIRST
+            else:
+                first_moves = f < s
+            if f >= target:
+                return True
+            if s > give_up:
+                return False
+            taken = fm | sm
+            key = ((f - s) << shift) | taken if gap_key else (fm << shift) | sm
+            hit = verdicts.get(key)
+            if hit is not None:
+                return hit
+            m = full if taken == 0 else reach & ~taken
+            verdict = not first_moves
+            for bit, w, adj in moves:
+                if m & bit:
+                    if first_moves:
+                        if wins(fm | bit, sm, f + w, s, reach | adj):
+                            verdict = True
+                            break
+                    elif not wins(fm, sm | bit, f, s + w, reach | adj):
+                        verdict = False
+                        break
+            verdicts[key] = verdict
+            return verdict
+
+        return wins(0, 0, 0, 0, 0)
 
     def optimal(self, fm: int, sm: int, f: int, s: int, reach: int):
         """``(mover, moves)`` at a nonterminal state: ``moves`` holds
@@ -262,6 +331,16 @@ def value_from(instance: Instance, policy: TiePolicy, state: GameState) -> Fract
     validate_state(instance, state)
     raw = search.best(*search.state(state.first_mask, state.second_mask))
     return Fraction(raw, instance.total_weight)
+
+
+def value_at_least(instance: Instance, policy: TiePolicy, share: Fraction) -> bool:
+    """Whether the game value is at least ``share``: First finishes with
+    ``ceil(share * total)`` or more under optimal play.  Decided by
+    ``_Search.reaches``, which visits far fewer states than ``solve``;
+    under forbid it raises on every tied state it visits, so its answer
+    stands for all three policies only where no tie is reachable."""
+    search = _Search(instance, policy)
+    return search.reaches(math.ceil(share * instance.total_weight))
 
 
 def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveReport:

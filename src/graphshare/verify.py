@@ -21,9 +21,11 @@ Tied draws under the forbid policy are resampled, never counted as
 failures: the one-half tree bound assumes distinct subset sums, so a
 tied instance is outside the hypothesis, not a counterexample.  Since
 the tie policy only names the mover at equal totals, every policy plays
-the same game on a resampled instance; so ``general-third`` searches
-each instance once, under forbid, and holds that value to the floor of
-all three policies.
+the same game on a resampled instance; so ``general-third`` holds one
+forbid answer to the floor of all three policies.  ``general-third``
+and ``tree-half`` ask only whether the value reaches a floor:
+``value_at_least`` decides that, and ``solve`` runs only on a failed
+floor, for the exact value its failure reports.
 
 ``SuiteReport.render`` deliberately omits the wall time so that repeated
 runs with equal seeds produce byte-identical reports.
@@ -55,6 +57,7 @@ from .solve import (
     principal_line,
     response_map,
     solve,
+    value_at_least,
 )
 
 _ALL_POLICIES = tuple(TiePolicy)
@@ -203,7 +206,10 @@ def _check_general_third(instance: Instance) -> _Claims:
     floor = max(third, Fraction(w_max, total), Fraction(total - w_max, 2 * total))
     # The policy picks the mover only on equal totals, and a resampled
     # instance reaches none, so all three policies play the forbid game
-    # tree: one value stands for each of them.
+    # tree: one decision stands for each of them.  Only a failed floor
+    # is solved, for the value its failure reports.
+    if value_at_least(instance, TiePolicy.FORBID, floor):
+        return
     value = solve(instance, TiePolicy.FORBID).value
     if value < floor:
         for policy in _ALL_POLICIES:
@@ -214,6 +220,8 @@ def _check_general_third(instance: Instance) -> _Claims:
 
 
 def _check_tree_half(instance: Instance) -> _Claims:
+    if value_at_least(instance, TiePolicy.FORBID, Fraction(1, 2)):
+        return
     value = solve(instance, TiePolicy.FORBID).value
     if value < Fraction(1, 2):
         yield "tree value >= 1/2 under forbid", f"value={format_fraction(value)}"

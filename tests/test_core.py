@@ -157,6 +157,25 @@ class TestPlayOut:
             play_out(TRIANGLE, TiePolicy.FORBID, bad, bad)
         assert err.value.step == 0
 
+    def test_totals_are_carried_not_summed_per_move(self, monkeypatch):
+        # the referee carries both totals, so no move re-sums a holding
+        # to find its mover
+        path12 = Instance(
+            weights=tuple(range(1, 13)), edges=tuple((i, i + 1) for i in range(11))
+        )
+        sums = []
+        weight_of = Instance.weight_of
+
+        def counted(instance, mask):
+            sums.append(mask)
+            return weight_of(instance, mask)
+
+        monkeypatch.setattr(Instance, "weight_of", counted)
+        greedy = lambda inst, state: min(legal_moves(inst, state))
+        outcome = play_out(path12, TiePolicy.FIRST_MOVES, greedy, greedy)
+        assert len(outcome.move_log) == 12
+        assert len(sums) <= 13
+
     def test_mid_game_tie_raises_under_forbid(self):
         path4 = Instance(
             weights=(1, 1, 1, 1), edges=((0, 1), (1, 2), (2, 3))

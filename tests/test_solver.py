@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from graphshare.core import (
     play_out,
 )
 from graphshare.adversary import extract_forest
-from graphshare.generators import gen_cycle7_family
+from graphshare.generators import gen_cycle7_family, gen_random_connected
 from graphshare.oracle import brute_value
 from graphshare.solve import (
     _Search,
@@ -31,6 +32,7 @@ from graphshare.solve import (
     principal_line,
     response_map,
     solve,
+    value_at_least,
     value_from,
 )
 
@@ -328,3 +330,53 @@ def test_tie_free_instances_play_one_game_under_every_policy(inst):
         assert report.value == forbid.value
         assert report.best_start == forbid.best_start
         assert report.state_count == forbid.state_count
+
+
+@given(
+    inst=st.one_of(
+        instances(max_n=8, weight_max=6),
+        tree_instances(max_n=8, weight_max=6),
+        instances(max_n=8, weight_max=10**9),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_floor_decision_brackets_the_value(inst):
+    # yes at the value, no one unit of weight above it; forbid only where
+    # solve finds no tie, first and second on tied instances too
+    above = Fraction(1, inst.total_weight)
+    for policy in ALL_POLICIES:
+        try:
+            value = solve(inst, policy).value
+        except TieEncounteredError:
+            assert policy is TiePolicy.FORBID
+            continue
+        assert value_at_least(inst, policy, value)
+        assert not value_at_least(inst, policy, value + above)
+
+
+class TestFloorDecision:
+    def test_a_tie_on_every_line_raises_under_forbid(self):
+        with pytest.raises(TieEncounteredError):
+            value_at_least(path([1, 1]), TiePolicy.FORBID, Fraction(1))
+        with pytest.raises(TieEncounteredError):
+            value_at_least(path([1, 1, 1, 1]), TiePolicy.FORBID, Fraction(1, 2))
+        # pruning can skip a tie: the opening alone reaches half of (1, 1)
+        assert value_at_least(path([1, 1]), TiePolicy.FORBID, Fraction(1, 2))
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_targets_beyond_the_weight_range_need_no_search(self, policy):
+        # every line of this path ties, yet the empty state decides both
+        tied = path([1, 1, 1, 1])
+        for share in (Fraction(0), Fraction(-2), Fraction(-1, 8)):
+            assert value_at_least(tied, policy, share)
+        for share in (Fraction(9, 8), Fraction(2)):
+            assert not value_at_least(tied, policy, share)
+
+    def test_decision_stores_far_fewer_entries_than_solve(self):
+        inst = gen_random_connected(12, 1, 0, 10**9)
+        total = inst.total_weight
+        report = solve(inst, TiePolicy.FORBID)
+        for share, fewer in ((Fraction(1, 3), 100), (report.value, 5)):
+            search = _Search(inst, TiePolicy.FORBID)
+            assert search.reaches(math.ceil(share * total))
+            assert len(search.verdicts) * fewer < report.state_count

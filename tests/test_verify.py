@@ -112,9 +112,9 @@ def test_tie_tree_search_failure_is_reproducible():
 
 
 def _failing_library(monkeypatch) -> list:
-    """Make every corpus claim fail: solve reports value 0, the oracle
-    disagrees and no edge is a mutual reply.  Returns the instances the
-    suites hand to the library, in call order."""
+    """Make every corpus claim fail: no floor is decided reached, solve
+    reports value 0, the oracle disagrees and no edge is a mutual reply.
+    Returns the instances the suites hand to the library, in call order."""
     seen = []
     real_solve = verify.solve
 
@@ -129,6 +129,7 @@ def _failing_library(monkeypatch) -> list:
     def wrong_oracle(instance, policy, start):
         return Fraction(-1)
 
+    monkeypatch.setattr(verify, "value_at_least", lambda *args: False)
     monkeypatch.setattr(verify, "solve", zero_solve)
     monkeypatch.setattr(verify, "brute_value", wrong_oracle)
     monkeypatch.setattr(verify, "response_map", self_replies)
@@ -213,6 +214,21 @@ def test_corpus_suite_failures_name_their_case_and_reproduce_it(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 5, 13])
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("general-third", {"cases": 60, "max_vertices": 10}),
+        ("tree-half", {"cases": 40, "max_vertices": 10}),
+    ],
+)
+def test_floor_decision_renders_as_the_solve_path(monkeypatch, name, seed, sizes):
+    # a decision that never reaches the floor sends every case to solve
+    decided = run_suite(name, seed=seed, size_params=sizes).render()
+    monkeypatch.setattr(verify, "value_at_least", lambda *args: False)
+    assert run_suite(name, seed=seed, size_params=sizes).render() == decided
+
+
 def test_tie_tree_search_rejects_vertices_above_the_cap_up_front():
     # enumerating every tree on 40 vertices before the check would not finish
     with pytest.raises(GraphShareError, match="at most 10"):
@@ -236,6 +252,7 @@ def test_corpus_suites_refuse_max_vertices_above_the_cap_before_any_draw(
         raise AssertionError("the library was called before the cap check")
 
     monkeypatch.setattr(verify, "solve", never)
+    monkeypatch.setattr(verify, "value_at_least", never)
     monkeypatch.setattr(verify, "resample_on_tie", never)
     message = rf"'max_vertices' of suite '{name}' must be at most {cap}, .* cap;"
     with pytest.raises(GraphShareError, match=rf"{message} got {cap + 1}$"):
