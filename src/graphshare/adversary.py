@@ -45,7 +45,7 @@ from .core import (
     bits,
 )
 from .generators import gen_cycle7_family
-from .simplex import solve_lp
+from .simplex import _over_lcm, solve_lp
 from .solve import _Search, solve
 
 ALTERNATE_VERTEX_CAP = VertexCap(10, "alternating search")
@@ -247,7 +247,11 @@ def lp_minimize(forest: AnnotatedScenarioForest):
 
     Solved by row generation over an exact rational simplex: only
     violated constraints enter the working LP, and the returned point is
-    feasible for the full system, hence exactly optimal.
+    feasible for the full system, hence exactly optimal.  The rows are
+    checked in integers: every right side is put over one denominator
+    once, the point over its own each round, and a row's excess scaled
+    by both, which orders the violated rows as their rational excess
+    does.
     """
     n = forest.vertex_count
     eps = EPSILON_FLOOR
@@ -273,19 +277,23 @@ def lp_minimize(forest: AnnotatedScenarioForest):
         else:
             ub_rows.append((_mask_coeffs(n, sm, fm), -balance - second_slack))
     objective = [0] * n + [1]
+    rhs_nums, rhs_den = _over_lcm([rhs for _, rhs in ub_rows])
     active: list[int] = []
     active_set: set[int] = set()
     while True:
         a_ub = [ub_rows[i][0] for i in active]
         b_ub = [ub_rows[i][1] for i in active]
         x, _ = solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
+        x_nums, x_den = _over_lcm(x)
+        # excess = (lhs - rhs) * x_den * rhs_den: one positive scale for all
         violated = []
-        for i, (row, rhs) in enumerate(ub_rows):
+        for i, (row, _) in enumerate(ub_rows):
             if i in active_set:
                 continue
-            lhs = sum(c * v for c, v in zip(row, x) if c)
-            if lhs > rhs:
-                violated.append((lhs - rhs, i))
+            lhs = sum(c * v for c, v in zip(row, x_nums) if c)
+            excess = lhs * rhs_den - rhs_nums[i] * x_den
+            if excess > 0:
+                violated.append((excess, i))
         if not violated:
             weights = tuple(x[v] + eps for v in range(n))
             return weights, x[n]

@@ -20,11 +20,21 @@ index; with ``d > 0`` a sign test reads the numerator, and two ratios
 compare by cross-multiplying their numerators.  Three details keep it
 so:
 
-- One scale for every row.  All constraint rows are multiplied by one
-  ``L``, the lcm of every denominator in the constraint data, while
-  slack and artificial columns keep coefficient 1.  That rescales each
-  slack and artificial variable by the same ``L``; a row-by-row scale
-  would reweight the phase-one objective and change its pivots.
+- One scale per variable class.  The coefficients are multiplied by
+  ``L_A``, the lcm of their denominators, and every right side by
+  ``L_A*L_b``, where ``L_b`` is the lcm of the right sides'
+  denominators; slack and artificial columns keep coefficient 1.  That
+  substitutes ``x' = L_b*x`` and scales every slack and artificial
+  variable by the same ``L_A*L_b``; ``x`` and the objective are divided
+  by ``L_b`` at the end.  Scaling a variable by ``c > 0`` keeps the sign
+  of its reduced cost and multiplies every ratio in its column by ``c``,
+  so the entering column, the least-ratio row and the tie-break stay
+  the same, and the phase-one objective stays a uniform sum.  The
+  coefficients stay small however fine the right sides are: for the
+  weight LP they are 0 and +-1 while ``L_b`` is 10^9, and its entries
+  stay near 36 bits, where scaling whole rows by 10^9 grows them to
+  about 335.  A row-by-row scale would reweight the phase-one objective
+  and change its pivots.
 - The phase-two cost row is carried through phase one as one more
   tableau row.  Recomputing it afterwards as ``f*row/d`` need not be
   an integer.
@@ -99,6 +109,13 @@ def _scaled(values, scale):
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _over_lcm(values):
+    """(numerators, d) with ``values[k] == numerators[k]/d`` for Fractions
+    ``values``, ``d`` the lcm of their denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return _scaled(values, d), d
+
+
 def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
     """Exact minimum of objective.x over the given system, x >= 0.
 
@@ -113,12 +130,13 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
     ]
     n_ub = len(a_ub)
     ncols = nvars + n_ub  # structural then one slack per inequality
-    scale = math.lcm(*(v.denominator for row in data for v in row))
+    coeff_scale = math.lcm(*(v.denominator for row in data for v in row[:-1]))
+    rhs_scale = math.lcm(*(row[-1].denominator for row in data))
     rows: list[list[int]] = []
     needs_artificial: list[bool] = []
     for i, values in enumerate(data):
-        scaled = _scaled(values, scale)
-        row = scaled[:-1] + [0] * n_ub + scaled[-1:]
+        row = _scaled(values[:-1], coeff_scale) + [0] * n_ub
+        row += _scaled(values[-1:], coeff_scale * rhs_scale)
         if i < n_ub:
             row[nvars + i] = 1
         if row[-1] < 0:
@@ -141,8 +159,8 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
             basis.append(nvars + i)
 
     # the basic columns start at cost 0, so c is already the reduced cost
-    cost_scale = math.lcm(*(v.denominator for v in c))
-    cost = _scaled(c, cost_scale) + [0] * (n_ub + n_art + 1)
+    cost, cost_scale = _over_lcm(c)
+    cost += [0] * (n_ub + n_art + 1)
     d = 1
     if n_art:
         phase_one = [0] * ncols + [1] * n_art + [0]
@@ -175,5 +193,5 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = Fraction(rows[i][-1], d)
-    return x, Fraction(-costs[0][-1], d * cost_scale)
+            x[b] = Fraction(rows[i][-1], d * rhs_scale)
+    return x, Fraction(-costs[0][-1], d * cost_scale * rhs_scale)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphshare import adversary
+from graphshare import adversary, simplex
 from graphshare.adversary import (
     ALTERNATE_VERTEX_CAP,
     EPSILON_FLOOR,
@@ -180,6 +180,24 @@ class TestLPMinimize:
         except TieEncounteredError:
             assume(False)
         assert_rows_hold(forest, *lp_minimize(forest))
+
+    def test_tableau_entries_stay_small(self, monkeypatch):
+        # only the right sides carry MARGIN's 10^9, so the fraction-free
+        # minors stay near 36 bits; a 10^9 scale on the 0/+-1
+        # coefficients would take them past 300
+        pivot = simplex._pivot
+        sizes = []
+
+        def measured(rows, costs, basis, pivot_row, pivot_col, d):
+            new_d = pivot(rows, costs, basis, pivot_row, pivot_col, d)
+            entries = [a for table in (rows, costs) for row in table for a in row]
+            sizes.append(max(abs(a).bit_length() for a in [*entries, d, new_d]))
+            return new_d
+
+        monkeypatch.setattr(simplex, "_pivot", measured)
+        forest = extract_forest(SPIDER.instance(SPIDER_SEED), TiePolicy.FIRST_MOVES)
+        assert_rows_hold(forest, *lp_minimize(forest))
+        assert sizes and max(sizes) <= 64
 
     def test_single_edge_closed_form(self):
         forest = extract_forest(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphshare.simplex import LPInfeasibleError, LPUnboundedError, solve_lp
@@ -163,3 +163,121 @@ def test_matches_vertex_enumeration_oracle(objective, rows):
     assert all(v >= 0 for v in x)
     for row, bound in zip(a_ub, b_ub):
         assert row[0] * x[0] + row[1] * x[1] <= bound
+
+
+def _bland_reference(objective, a_ub, b_ub, a_eq, b_eq):
+    """Two-phase Bland simplex over a plain Fraction tableau, with
+    solve_lp's set-up: slack then artificial columns, a row with a negative
+    right side negated, leftover artificials driven out on their first
+    nonzero column or their rows dropped."""
+    nvars, n_ub = len(objective), len(a_ub)
+    ncols = nvars + n_ub
+    rows, basis = [], []
+    for i, (a, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
+        row = [Fraction(v) for v in a] + [Fraction(int(i == k)) for k in range(n_ub)]
+        row = [-v for v in row] + [-Fraction(b)] if b < 0 else row + [Fraction(b)]
+        basis.append(nvars + i if i < n_ub and row[nvars + i] > 0 else None)
+        rows.append(row)
+    arts = [i for i, b in enumerate(basis) if b is None]
+    for k, i in enumerate(arts):
+        basis[i] = ncols + k
+    for i, row in enumerate(rows):
+        row[-1:-1] = [Fraction(int(basis[i] == ncols + k)) for k in range(len(arts))]
+    width = ncols + len(arts) + 1
+    phase_one = [Fraction(int(ncols <= j < width - 1)) for j in range(width)]
+    for i in arts:
+        phase_one = [a - r for a, r in zip(phase_one, rows[i])]
+    costs = [phase_one, [Fraction(v) for v in objective] + [Fraction(0)] * (width - nvars)]
+
+    def pivot(r, c):
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for table in (rows, costs):
+            for i, row in enumerate(table):
+                f = row[c]
+                if row is not rows[r] and f:
+                    table[i] = [a - f * b for a, b in zip(row, rows[r])]
+        basis[r] = c
+
+    def optimize():
+        while (c := next((j for j, v in enumerate(costs[0][:-1]) if v < 0), None)) is not None:
+            ratios = [(row[-1] / row[c], basis[i], i) for i, row in enumerate(rows) if row[c] > 0]
+            if not ratios:
+                raise LPUnboundedError("reference")
+            pivot(min(ratios)[2], c)
+
+    optimize()
+    if costs[0][-1] < 0:
+        raise LPInfeasibleError("reference")
+    del costs[0]
+    drop = set()
+    for i in range(len(rows)):
+        if basis[i] >= ncols:
+            c = next((j for j in range(ncols) if rows[i][j]), None)
+            if c is None:
+                drop.add(i)
+            else:
+                pivot(i, c)
+    rows = [row[:ncols] + row[-1:] for i, row in enumerate(rows) if i not in drop]
+    basis = [b for i, b in enumerate(basis) if i not in drop]
+    costs = [costs[0][:ncols] + costs[0][-1:]]
+    optimize()
+    x = [Fraction(0)] * nvars
+    for row, b in zip(rows, basis):
+        if b < nvars:
+            x[b] = row[-1]
+    return x, -costs[0][-1]
+
+
+_right_side = st.builds(
+    lambda micro, margin, sevenths: (
+        Fraction(micro, 10**6) - Fraction(margin, 10**9) + Fraction(sevenths, 7)
+    ),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from([0, 0, 1, -1]),
+)
+_weight_row = st.lists(
+    st.sampled_from([-1, 0, 0, 1, Fraction(1, 2), Fraction(-2, 3)]), min_size=5, max_size=5
+)
+
+
+@given(
+    ub=st.lists(
+        st.tuples(_weight_row, st.sampled_from([0, -1]), _right_side), min_size=1, max_size=8
+    ),
+    eq=st.lists(st.tuples(_weight_row, _right_side), max_size=1),
+)
+# a weighted phase-one sum (a scale per row) moves the first example's
+# point, and ties to the greater basic index the second's
+@example(ub=[([1, Fraction(1, 2), -1, 1, Fraction(-2, 3)], -1, Fraction(-1000007, 7000000))], eq=[])
+@example(
+    ub=[
+        (
+            [1, Fraction(-2, 3), 0, Fraction(-2, 3), Fraction(-2, 3)],
+            -1,
+            Fraction(1000006993, 7000000000),
+        ),
+        ([1, Fraction(1, 2), -1, 1, -1], 0, Fraction(1000006993, 7000000000)),
+    ],
+    eq=[],
+)
+@settings(max_examples=300, deadline=None)
+def test_point_matches_fraction_reference(ub, eq):
+    # lp_minimize-shaped programs: minimize t over weights summing to a
+    # constant, right sides over 7, 10^6 and 10^9.  Many points are
+    # optimal, so the point shows whether the integer tableau, which
+    # scales coefficients and right sides apart, took Bland's pivots
+    args = (
+        [0] * 5 + [1],
+        [row + [t] for row, t, _ in ub],
+        [b for _, _, b in ub],
+        [[1] * 5 + [0]] + [row + [0] for row, _ in eq],
+        [1 - Fraction(5, 10**6)] + [b for _, b in eq],
+    )
+    try:
+        expected = _bland_reference(*args)
+    except LPInfeasibleError:
+        with pytest.raises(LPInfeasibleError):
+            solve_lp(*args)
+        return
+    assert solve_lp(*args) == expected
