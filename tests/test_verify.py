@@ -16,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import graphshare.verify as verify
-from graphshare.core import GraphShareError, TiePolicy
+from graphshare.core import GraphShareError, Player, TiePolicy
+from graphshare.oracle import LineAudit
 from graphshare.solve import solve
 from graphshare.verify import (
     SUITE_NAMES,
@@ -212,6 +213,85 @@ def test_corpus_suite_failures_name_their_case_and_reproduce_it(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "46bf036118bd7912824af0164a03a95c1fd5bd76c2c54bf4cfd61cda702b4fc7"
     )
+
+
+def _failing_audits(instance, policy, start):
+    """Two failing audits per start whatever the policy, as the real
+    audit gives on a tie-free instance: a lead violation, then a
+    tie-free line (First takes everything) that ends w_max or more ahead."""
+    violation = (start, Player.SECOND, instance.weights[start], 1)
+    everything = tuple((Player.FIRST, v) for v in range(instance.vertex_count))
+    return [
+        LineAudit(((Player.FIRST, start),), violation, (1,), False),
+        LineAudit(everything, None, (), False),
+    ]
+
+
+LEAD_INVARIANT_FAILING = """\
+suite=lead-invariant
+seed=1
+cases=1
+failure.0.case=0000-n2
+failure.0.instance=2 1\\n39 44\\n0 1\\n
+failure.0.expected=strict leader's lead < leader's last vertex weight
+failure.0.actual=policy=forbid start=0 step=0 leader=S lead=39 last_weight=1
+failure.1.case=0000-n2
+failure.1.instance=2 1\\n39 44\\n0 1\\n
+failure.1.expected=final lead < max weight on tie-free lines
+failure.1.actual=policy=forbid start=0 final_lead=83 w_max=44
+failure.2.case=0000-n2
+failure.2.instance=2 1\\n39 44\\n0 1\\n
+failure.2.expected=strict leader's lead < leader's last vertex weight
+failure.2.actual=policy=forbid start=1 step=1 leader=S lead=44 last_weight=1
+failure.3.case=0000-n2
+failure.3.instance=2 1\\n39 44\\n0 1\\n
+failure.3.expected=final lead < max weight on tie-free lines
+failure.3.actual=policy=forbid start=1 final_lead=83 w_max=44
+failure.4.case=0000-n2
+failure.4.instance=2 1\\n39 44\\n0 1\\n
+failure.4.expected=strict leader's lead < leader's last vertex weight
+failure.4.actual=policy=first start=0 step=0 leader=S lead=39 last_weight=1
+failure.5.case=0000-n2
+failure.5.instance=2 1\\n39 44\\n0 1\\n
+failure.5.expected=final lead < max weight on tie-free lines
+failure.5.actual=policy=first start=0 final_lead=83 w_max=44
+failure.6.case=0000-n2
+failure.6.instance=2 1\\n39 44\\n0 1\\n
+failure.6.expected=strict leader's lead < leader's last vertex weight
+failure.6.actual=policy=first start=1 step=1 leader=S lead=44 last_weight=1
+failure.7.case=0000-n2
+failure.7.instance=2 1\\n39 44\\n0 1\\n
+failure.7.expected=final lead < max weight on tie-free lines
+failure.7.actual=policy=first start=1 final_lead=83 w_max=44
+failure.8.case=0000-n2
+failure.8.instance=2 1\\n39 44\\n0 1\\n
+failure.8.expected=strict leader's lead < leader's last vertex weight
+failure.8.actual=policy=second start=0 step=0 leader=S lead=39 last_weight=1
+failure.9.case=0000-n2
+failure.9.instance=2 1\\n39 44\\n0 1\\n
+failure.9.expected=final lead < max weight on tie-free lines
+failure.9.actual=policy=second start=0 final_lead=83 w_max=44
+failure.10.case=0000-n2
+failure.10.instance=2 1\\n39 44\\n0 1\\n
+failure.10.expected=strict leader's lead < leader's last vertex weight
+failure.10.actual=policy=second start=1 step=1 leader=S lead=44 last_weight=1
+failure.11.case=0000-n2
+failure.11.instance=2 1\\n39 44\\n0 1\\n
+failure.11.expected=final lead < max weight on tie-free lines
+failure.11.actual=policy=second start=1 final_lead=83 w_max=44
+suite=lead-invariant status=FAIL cases=1 failures=12
+"""
+
+
+def test_lead_invariant_failure_render_is_pinned(monkeypatch):
+    # policy outside, then start, then audit order
+    monkeypatch.setattr(verify, "audit_lines", _failing_audits)
+    report = run_suite(
+        "lead-invariant",
+        seed=1,
+        size_params={"cases": 1, "max_vertices": 2, "weight_max": 50},
+    )
+    assert report.render() == LEAD_INVARIANT_FAILING
 
 
 @pytest.mark.parametrize("seed", [0, 5, 13])
