@@ -22,7 +22,11 @@ failures: the one-half tree bound assumes distinct subset sums, so a
 tied instance is outside the hypothesis, not a counterexample.  Since
 the tie policy only names the mover at equal totals, every policy plays
 the same game on a resampled instance; so ``general-third`` holds one
-forbid answer to the floor of all three policies.  ``general-third``
+forbid answer to the floor of all three policies, and the oracle's
+reference value (``oracle-equivalence``) and the line audits
+(``lead-invariant``) run once per start under forbid and stand for all
+three, while ``solve``, the code under test, still runs under each
+policy.  ``general-third``
 and ``tree-half`` ask only whether the value reaches a floor:
 ``value_at_least`` decides that, and ``solve`` runs only on a failed
 floor, for the exact value its failure reports.
@@ -253,33 +257,51 @@ def _first_weight(instance: Instance, line) -> int:
 
 
 def _check_lead_invariant(instance: Instance) -> _Claims:
+    # A resampled instance reaches no tie, so each policy has the forbid
+    # audit's lines: each start is audited once, and only its failing
+    # claims are kept to replay under every policy.
     w_max = max(instance.weights)
-    for policy in _ALL_POLICIES:
-        for start in range(instance.vertex_count):
-            where = f"policy={policy.value} start={start}"
-            for audit in audit_lines(instance, policy, start):
-                if audit.max_lead_violation is not None:
-                    step, leader, lead, weight = audit.max_lead_violation
-                    yield (
+    failing = []
+    for start in range(instance.vertex_count):
+        claims = []
+        for audit in audit_lines(instance, TiePolicy.FORBID, start):
+            if audit.max_lead_violation is not None:
+                step, leader, lead, weight = audit.max_lead_violation
+                claims.append(
+                    (
                         "strict leader's lead < leader's last vertex weight",
-                        f"{where} step={step} leader={leader.value} lead={lead} "
+                        f"step={step} leader={leader.value} lead={lead} "
                         f"last_weight={weight}",
                     )
-                if audit.skipped or audit.tie_steps:
-                    continue
-                first = _first_weight(instance, audit.line)
-                final_lead = abs(2 * first - instance.total_weight)
-                if final_lead >= w_max:
-                    yield (
+                )
+            if audit.skipped or audit.tie_steps:
+                continue
+            first = _first_weight(instance, audit.line)
+            final_lead = abs(2 * first - instance.total_weight)
+            if final_lead >= w_max:
+                claims.append(
+                    (
                         "final lead < max weight on tie-free lines",
-                        f"{where} final_lead={final_lead} w_max={w_max}",
+                        f"final_lead={final_lead} w_max={w_max}",
                     )
+                )
+        failing.append(claims)
+    for policy in _ALL_POLICIES:
+        for start, claims in enumerate(failing):
+            for expected, detail in claims:
+                yield expected, f"policy={policy.value} start={start} {detail}"
 
 
 def _check_oracle_equivalence(instance: Instance) -> _Claims:
+    # The oracle's forbid value at each start stands for every policy on
+    # a resampled instance; solve, the code under test, runs under each.
+    references = [
+        brute_value(instance, TiePolicy.FORBID, start)
+        for start in range(instance.vertex_count)
+    ]
     for policy in _ALL_POLICIES:
         for entry in solve(instance, policy).per_start:
-            reference = brute_value(instance, policy, entry.start)
+            reference = references[entry.start]
             if reference != entry.value:
                 yield (
                     f"solver == oracle at start {entry.start} under {policy.value}",

@@ -12,12 +12,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import graphshare.verify as verify
 from graphshare.core import GraphShareError, Player, TiePolicy
-from graphshare.oracle import LineAudit
+from graphshare.generators import (
+    ExhaustedAttemptsError,
+    gen_random_connected,
+    gen_random_tree,
+    resample_on_tie,
+    subset_sums_distinct,
+)
+from graphshare.oracle import LineAudit, audit_lines, brute_value
 from graphshare.solve import solve
 from graphshare.verify import (
     SUITE_NAMES,
@@ -292,6 +299,88 @@ def test_lead_invariant_failure_render_is_pinned(monkeypatch):
         size_params={"cases": 1, "max_vertices": 2, "weight_max": 50},
     )
     assert report.render() == LEAD_INVARIANT_FAILING
+
+
+@given(
+    n=st.integers(2, 6),
+    tree=st.booleans(),
+    seed=st.integers(0, 2**32),
+    spread=st.integers(1, 4),
+    extra=st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+@example(n=6, tree=True, seed=1, spread=2, extra=0).via("search-accepted tree")
+@example(n=6, tree=False, seed=25, spread=2, extra=2).via("search-accepted graph")
+def test_oracle_is_policy_blind_on_resampled_draws(n, tree, seed, spread, extra):
+    # weights up to 4n make about half the accepted draws fail the
+    # distinct-sums screen and pass the forbid search instead
+    weight_max = spread * n
+    extra = min(extra, n * (n - 1) // 2 - (n - 1))
+    if tree:
+        draw = lambda k: gen_random_tree(n, seed + k, weight_max)
+    else:
+        draw = lambda k: gen_random_connected(n, extra, seed + k, weight_max)
+    try:
+        instance, _rejected = resample_on_tie(draw)
+    except ExhaustedAttemptsError:
+        assume(False)
+    for start in range(n):
+        values = [brute_value(instance, policy, start) for policy in TiePolicy]
+        assert values[1:] == values[:-1]
+        audits = [audit_lines(instance, policy, start) for policy in TiePolicy]
+        assert audits[1:] == audits[:-1]
+        assert not any(audit.skipped or audit.tie_steps for audit in audits[0])
+
+
+def test_search_accepted_examples_fail_the_screen():
+    # the property's explicit examples reach the forbid-search path
+    for draw in (
+        lambda k: gen_random_tree(6, 1 + k, 12),
+        lambda k: gen_random_connected(6, 2, 25 + k, 12),
+    ):
+        instance, _rejected = resample_on_tie(draw)
+        assert not subset_sums_distinct(instance.weights)
+
+
+def _count_calls(monkeypatch, name, calls):
+    real = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+
+
+@pytest.mark.parametrize(
+    "name, oracle", [("oracle-equivalence", "brute_value"), ("lead-invariant", "audit_lines")]
+)
+def test_oracle_runs_once_per_start_of_each_accepted_instance(monkeypatch, name, oracle):
+    accepted, oracle_calls, solve_calls = [], [], []
+    real_resample = verify.resample_on_tie
+
+    def recorded(call):
+        result = real_resample(call)
+        accepted.append(result[0])
+        return result
+
+    monkeypatch.setattr(verify, "resample_on_tie", recorded)
+    _count_calls(monkeypatch, oracle, oracle_calls)
+    _count_calls(monkeypatch, "solve", solve_calls)
+    report = run_suite(name, seed=4, size_params={"cases": 12, "max_vertices": 5})
+    assert report.passed, report.render()
+    assert len(accepted) == 12
+    assert oracle_calls == [
+        (instance, TiePolicy.FORBID, start)
+        for instance in accepted
+        for start in range(instance.vertex_count)
+    ]
+    if name == "oracle-equivalence":
+        assert solve_calls == [
+            (instance, policy) for instance in accepted for policy in TiePolicy
+        ]
+    else:
+        assert solve_calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 5, 13])
