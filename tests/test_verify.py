@@ -342,45 +342,44 @@ def test_search_accepted_examples_fail_the_screen():
         assert not subset_sums_distinct(instance.weights)
 
 
-def _count_calls(monkeypatch, name, calls):
+def _record_calls(monkeypatch, name) -> list:
+    """Rebind ``verify.<name>`` to record each call's arguments and result."""
+    calls = []
     real = getattr(verify, name)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
 
-    monkeypatch.setattr(verify, name, counted)
+    monkeypatch.setattr(verify, name, recorded)
+    return calls
 
 
 @pytest.mark.parametrize(
-    "name, oracle", [("oracle-equivalence", "brute_value"), ("lead-invariant", "audit_lines")]
+    "name, oracle",
+    [("oracle-equivalence", "brute_value"), ("lead-invariant", "audit_lines")],
 )
-def test_oracle_runs_once_per_start_of_each_accepted_instance(monkeypatch, name, oracle):
-    accepted, oracle_calls, solve_calls = [], [], []
-    real_resample = verify.resample_on_tie
-
-    def recorded(call):
-        result = real_resample(call)
-        accepted.append(result[0])
-        return result
-
-    monkeypatch.setattr(verify, "resample_on_tie", recorded)
-    _count_calls(monkeypatch, oracle, oracle_calls)
-    _count_calls(monkeypatch, "solve", solve_calls)
+def test_oracle_runs_once_per_start_of_each_accepted_instance(
+    monkeypatch, name, oracle
+):
+    draws = _record_calls(monkeypatch, "resample_on_tie")
+    oracle_calls = _record_calls(monkeypatch, oracle)
+    solve_calls = _record_calls(monkeypatch, "solve")
     report = run_suite(name, seed=4, size_params={"cases": 12, "max_vertices": 5})
     assert report.passed, report.render()
+    accepted = [instance for _args, (instance, _rejected) in draws]
     assert len(accepted) == 12
-    assert oracle_calls == [
+    assert [args for args, _result in oracle_calls] == [
         (instance, TiePolicy.FORBID, start)
         for instance in accepted
         for start in range(instance.vertex_count)
     ]
-    if name == "oracle-equivalence":
-        assert solve_calls == [
-            (instance, policy) for instance in accepted for policy in TiePolicy
-        ]
-    else:
-        assert solve_calls == []
+    # solve, the code under test, still runs under every policy
+    solves = [(instance, policy) for instance in accepted for policy in TiePolicy]
+    assert [args for args, _result in solve_calls] == (
+        solves if name == "oracle-equivalence" else []
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 5, 13])
