@@ -26,10 +26,9 @@ forbid answer to the floor of all three policies, and the oracle's
 reference value (``oracle-equivalence``) and the line audits
 (``lead-invariant``) run once per start under forbid and stand for all
 three, while ``solve``, the code under test, still runs under each
-policy.  ``general-third``
-and ``tree-half`` ask only whether the value reaches a floor:
-``value_at_least`` decides that, and ``solve`` runs only on a failed
-floor, for the exact value its failure reports.
+policy.  ``general-third`` and ``tree-half`` ask only whether the value
+reaches a floor: ``value_at_least`` decides that, and ``solve`` runs
+only on a failed floor, for the exact value its failure reports.
 
 ``SuiteReport.render`` deliberately omits the wall time so that repeated
 runs with equal seeds produce byte-identical reports.

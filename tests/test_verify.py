@@ -223,8 +223,8 @@ def test_corpus_suite_failures_name_their_case_and_reproduce_it(monkeypatch):
 
 
 def _failing_audits(instance, policy, start):
-    """Two failing audits per start whatever the policy, as the real
-    audit gives on a tie-free instance: a lead violation, then a
+    """Two failing audits per start, the same under every policy, as the
+    real audits are on a tie-free instance: a lead violation, then a
     tie-free line (First takes everything) that ends w_max or more ahead."""
     violation = (start, Player.SECOND, instance.weights[start], 1)
     everything = tuple((Player.FIRST, v) for v in range(instance.vertex_count))
