@@ -29,6 +29,9 @@ three, while ``solve``, the code under test, still runs under each
 policy.  ``general-third`` and ``tree-half`` ask only whether the value
 reaches a floor: ``value_at_least`` decides that, and ``solve`` runs
 only on a failed floor, for the exact value its failure reports.
+``mutual-edge`` builds one forbid search per instance: it solves an
+opening's canonical reply only when its scan of the edges first needs
+it, and reads both lines of the mutual edge from the same memo.
 
 ``SuiteReport.render`` deliberately omits the wall time so that repeated
 runs with equal seeds produce byte-identical reports.
@@ -53,8 +56,11 @@ from .generators import (
 )
 from .instance_io import format_instance, parse_instance
 from .oracle import AUDIT_EXHAUSTIVE_CAP, BRUTE_VERTEX_CAP, audit_lines, brute_value
+# response_map and principal_line stay imported: perfbench's tracer rebinds them.
 from .solve import (
     SOLVE_VERTEX_CAP,
+    _replies,
+    _Search,
     format_fraction,
     optimal_responses,
     principal_line,
@@ -231,24 +237,40 @@ def _check_tree_half(instance: Instance) -> _Claims:
 
 
 def _check_mutual_edge(instance: Instance) -> _Claims:
-    replies = response_map(instance, TiePolicy.FORBID)
-    pairs = ((a, b) for a, b in instance.edges if replies[a] == b and replies[b] == a)
+    # One forbid search per instance: an opening's canonical reply is
+    # solved when the edge scan first asks for it, and both lines read
+    # the same memo.
+    search = _Search(instance, TiePolicy.FORBID)
+    replies: dict[int, int] = {}
+
+    def reply(v: int) -> int:
+        if v not in replies:
+            replies[v] = _replies(search, v)[0]
+        return replies[v]
+
+    pairs = ((a, b) for a, b in instance.edges if reply(a) == b and reply(b) == a)
     mutual = next(pairs, None)
     if mutual is None:
+        every = {v: reply(v) for v in range(instance.vertex_count)}
         yield (
             "a mutual reply edge (replies[a]=b and replies[b]=a)",
-            f"replies={replies}",
+            f"replies={every}",
         )
         return
     a, b = mutual
     total = instance.total_weight
-    first_at_a = _first_weight(instance, principal_line(instance, TiePolicy.FORBID, a))
-    first_at_b = _first_weight(instance, principal_line(instance, TiePolicy.FORBID, b))
+    first_at_a = _first_weight(instance, _line(search, a))
+    first_at_b = _first_weight(instance, _line(search, b))
     if first_at_a != total - first_at_b:
         yield (
             f"w(F|open {a}) = w(S|open {b}) on mutual edge {a}-{b}",
             f"w(F|open {a})={first_at_a}, w(S|open {b})={total - first_at_b}",
         )
+
+
+def _line(search: _Search, start: int):
+    """``principal_line`` after opening ``start``, read from ``search``."""
+    return ((Player.FIRST, start),) + search.line_from(*search.state(1 << start, 0))
 
 
 def _first_weight(instance: Instance, line) -> int:

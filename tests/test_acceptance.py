@@ -86,7 +86,7 @@ def test_criterion_03_tree_half():
 
 def test_criterion_04_mutual_edge():
     report = _suite(4)
-    ok = report.passed and report.cases >= 500
+    ok = report.passed and report.cases >= 500 and report.wall_time < 120
     _record(4, "mutual-edge-complement", ok, _suite_detail(report))
     assert ok, report.render()
 

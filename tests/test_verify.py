@@ -25,7 +25,7 @@ from graphshare.generators import (
     subset_sums_distinct,
 )
 from graphshare.oracle import LineAudit, audit_lines, brute_value
-from graphshare.solve import solve
+from graphshare.solve import _Search, principal_line, response_map, solve
 from graphshare.verify import (
     SUITE_NAMES,
     UnknownSuiteError,
@@ -130,9 +130,9 @@ def _failing_library(monkeypatch) -> list:
         seen.append(instance)
         return dataclasses.replace(real_solve(instance, policy), value=Fraction(0))
 
-    def self_replies(instance, policy):
-        seen.append(instance)
-        return {v: v for v in range(instance.vertex_count)}
+    def self_replies(search, start):
+        seen.append(search.instance)
+        return (start,)
 
     def wrong_oracle(instance, policy, start):
         return Fraction(-1)
@@ -140,7 +140,7 @@ def _failing_library(monkeypatch) -> list:
     monkeypatch.setattr(verify, "value_at_least", lambda *args: False)
     monkeypatch.setattr(verify, "solve", zero_solve)
     monkeypatch.setattr(verify, "brute_value", wrong_oracle)
-    monkeypatch.setattr(verify, "response_map", self_replies)
+    monkeypatch.setattr(verify, "_replies", self_replies)
     return seen
 
 
@@ -299,6 +299,130 @@ def test_lead_invariant_failure_render_is_pinned(monkeypatch):
         size_params={"cases": 1, "max_vertices": 2, "weight_max": 50},
     )
     assert report.render() == LEAD_INVARIANT_FAILING
+
+
+MUTUAL_EDGE_LINES_FAILING = """\
+suite=mutual-edge
+seed=1
+cases=2
+failure.0.case=0000-n4
+failure.0.instance=4 3\\n35 32 22 24\\n0 3\\n1 2\\n2 3\\n
+failure.0.expected=w(F|open 0) = w(S|open 3) on mutual edge 0-3
+failure.0.actual=w(F|open 0)=35, w(S|open 3)=67
+failure.1.case=0001-n3
+failure.1.instance=3 2\\n49 1 39\\n0 1\\n1 2\\n
+failure.1.expected=w(F|open 0) = w(S|open 1) on mutual edge 0-1
+failure.1.actual=w(F|open 0)=49, w(S|open 1)=88
+suite=mutual-edge status=FAIL cases=2 failures=2
+"""
+
+
+def test_mutual_edge_split_failure_render_is_pinned(monkeypatch):
+    # lines that stop one move short no longer split the total exactly
+    real_line_from = _Search.line_from
+
+    def short_line(search, *state):
+        return real_line_from(search, *state)[:-1]
+
+    monkeypatch.setattr(_Search, "line_from", short_line)
+    report = run_suite(
+        "mutual-edge",
+        seed=1,
+        size_params={"cases": 2, "max_vertices": 4, "weight_max": 50},
+    )
+    assert report.render() == MUTUAL_EDGE_LINES_FAILING
+
+
+def test_mutual_edge_builds_one_search_per_instance(monkeypatch):
+    built = []
+    real_init = _Search.__init__
+
+    def counted(search, instance, policy):
+        built.append((instance, policy))
+        real_init(search, instance, policy)
+
+    draws = _record_calls(monkeypatch, "resample_on_tie")
+    monkeypatch.setattr(_Search, "__init__", counted)
+    sizes = {"cases": 20, "max_vertices": 9}
+    report = run_suite("mutual-edge", seed=2, size_params=sizes)
+    assert report.passed, report.render()
+    accepted = [instance for _args, (instance, _rejected) in draws]
+    assert len(accepted) == sizes["cases"]
+    # weights to 10^9 pass the distinct-sums screen, which builds no search
+    assert built == [(instance, TiePolicy.FORBID) for instance in accepted]
+
+
+def _tie_free_tree(n: int, seed: int, weight_max: int):
+    draw = lambda k: gen_random_tree(n, seed + k, weight_max)
+    return resample_on_tie(draw)[0]
+
+
+@given(
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**32),
+    weight_max=st.sampled_from((60, 10**9)),
+)
+@settings(max_examples=60, deadline=None)
+@example(n=3, seed=6, weight_max=60).via("first edge: reply(a) == b only")
+@example(n=4, seed=1, weight_max=10**9).via("first edge: reply(a) != b")
+def test_lazy_mutual_edge_scan_matches_the_public_views(n, seed, weight_max):
+    try:
+        instance = _tie_free_tree(n, seed, weight_max)
+    except ExhaustedAttemptsError:
+        assume(False)
+    # the reference: the full reply map, the first mutual edge in edge
+    # order, and each end's principal line in a search of its own
+    replies = response_map(instance, TiePolicy.FORBID)
+    needed = []
+    for a, b in instance.edges:
+        needed.append(a)
+        if replies[a] == b:
+            needed.append(b)
+            if replies[b] == a:
+                break
+    else:
+        raise AssertionError(f"no mutual reply edge: replies={replies}")
+    edge = (a, b)
+
+    def first_weight(line):
+        return sum(instance.weights[v] for who, v in line if who is Player.FIRST)
+
+    expected_weights = [
+        first_weight(principal_line(instance, TiePolicy.FORBID, v)) for v in edge
+    ]
+    asked = []
+    lines = []
+    real_replies = verify._replies
+    real_first_weight = verify._first_weight
+
+    def recorded_replies(search, start):
+        found = real_replies(search, start)
+        asked.append((start, found[0]))
+        return found
+
+    def recorded_first_weight(instance, line):
+        weight = real_first_weight(instance, line)
+        lines.append((line[0], weight))
+        return weight
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_replies", recorded_replies)
+        patch.setattr(verify, "_first_weight", recorded_first_weight)
+        assert list(verify._check_mutual_edge(instance)) == []
+    # each reply is solved once, in the order the scan first needs it
+    assert asked == [(v, replies[v]) for v in dict.fromkeys(needed)]
+    assert lines == [
+        ((Player.FIRST, v), weight) for v, weight in zip(edge, expected_weights)
+    ]
+
+
+def test_mutual_edge_examples_scan_past_the_first_edge():
+    # the property's explicit examples reach the second edge of the scan
+    for n, seed, weight_max in ((3, 6, 60), (4, 1, 10**9)):
+        instance = _tie_free_tree(n, seed, weight_max)
+        replies = response_map(instance, TiePolicy.FORBID)
+        a, b = instance.edges[0]
+        assert not (replies[a] == b and replies[b] == a)
 
 
 @given(
