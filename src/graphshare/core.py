@@ -17,6 +17,7 @@ fractions of the total weight.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -144,8 +145,13 @@ class Instance:
     total_weight: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
+        weights = []
+        for v, w in enumerate(self.weights):
+            try:
+                weights.append(operator.index(w))
+            except TypeError:
+                raise TypeError(f"vertex {v} has non-integer weight {w!r}") from None
+        object.__setattr__(self, "weights", tuple(weights))
         n = len(weights)
         if n < 1:
             raise ValueError("instance needs at least one vertex")
@@ -156,7 +162,10 @@ class Instance:
         normalized: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise TypeError(f"edge ({u!r}, {v!r}) has a non-integer end") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
             if u == v:

@@ -20,10 +20,11 @@ One engine, ``_Search``, serves every view through three expanders:
 ``optimal`` (the mover and its value-optimal moves, lowest vertex id
 first) and ``reaches`` (the zero-window decision "does First finish
 with at least T?", which stops at the first decisive move and so
-skips most states).  Lines, replies, the canonical strategy and the
-adversary's scenario forest are thin views over the first two and over
-one shared memo per call; ``value_at_least`` is the view over the
-third, for checks that only compare the value with a floor.
+skips most states).  Over the first two, ``line``, ``replies`` and
+``forest`` read canonical play, Second's replies and the adversary's
+scenario forest per opening, on one shared memo per search; no other
+module builds a search state.  ``value_at_least`` is the view over
+the third, for checks that only compare the value with a floor.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ class _Search:
     masks, their totals and the union of the taken vertices' neighbor
     masks.  Three expanders read it: ``gain``, the value search,
     ``optimal``, the mover with its value-optimal moves, and
-    ``reaches``, the decision against a target weight.  ``branches``
-    picks the moves the scenario forest follows, and every view in this
-    module and ``adversary.extract_forest`` is built on these.  The
-    sign of the gap ``f - s`` names the mover; a zero gap goes to
-    ``core.mover_at``.
+    ``reaches``, the decision against a target weight.  ``state`` and
+    ``opening`` build it, ``best`` adds First's total to ``gain``, and
+    per opening ``line``, ``replies`` and ``forest`` read canonical
+    play, Second's replies and the scenario forest.  The sign of the
+    gap ``f - s`` names the mover; a zero gap goes to ``core.mover_at``.
 
     ``gain`` memoizes First's future gain, which depends only on the
     taken set and the gap ``d``, under the one-int key
@@ -251,33 +252,61 @@ class _Search:
             found.append((v, (fm, sm | low, f, s + w, reach | nbr[v])))
         return SECOND, found
 
-    def branches(self, fm: int, sm: int, f: int, s: int, reach: int):
-        """``(mover, tied, moves)`` for the scenario forest: ``moves``
-        holds ``(vertex, child state)`` for every legal move of First, or
-        Second's canonical reply alone.  At the empty state: the openings."""
-        who = mover_at(fm, sm, f, s, self.policy)
-        if who is SECOND:
-            return who, f == s, self.optimal(fm, sm, f, s, reach)[1][:1]
-        taken = fm | sm
-        m = self.full if taken == 0 else reach & ~taken
-        weights = self.weights
-        nbr = self.nbr
-        found = []
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            found.append((v, (fm | low, sm, f + weights[v], s, reach | nbr[v])))
-        return who, f == s, found
+    def opening(self, v: int) -> tuple[int, int, int, int, int]:
+        """The search state after First opens at ``v``."""
+        if not 0 <= v < self.shift:
+            raise ValueError(f"start vertex {v} does not exist")
+        return 1 << v, 0, self.weights[v], 0, self.nbr[v]
 
-    def line_from(self, fm: int, sm: int, f: int, s: int, reach: int):
-        """Canonical play from a state to the end of the game."""
-        log: list[tuple[Player, int]] = []
+    def line(self, start: int) -> tuple[tuple[Player, int], ...]:
+        """Canonical play after First opens at ``start``, the opening
+        included, to the end of the game."""
+        fm, sm, f, s, reach = self.opening(start)
+        log = [(FIRST, start)]
         while (fm | sm) != self.full:
             who, found = self.optimal(fm, sm, f, s, reach)
             v, (fm, sm, f, s, reach) = found[0]
             log.append((who, v))
         return tuple(log)
+
+    def replies(self, start: int) -> tuple[int, ...]:
+        """Second's value-optimal replies to the opening ``start``, in
+        increasing vertex id."""
+        if self.shift < 2:
+            raise ValueError("responses need at least two vertices")
+        _who, found = self.optimal(*self.opening(start))
+        return tuple(v for v, _child in found)
+
+    def forest(self) -> tuple[tuple[int, int, Player | None, bool], ...]:
+        """The scenario forest's nodes ``(fm, sm, mover, tied)``, where First
+        tries every legal move and Second plays its canonical reply: each
+        reached state once, in depth-first order, openings and successors
+        in vertex order.  Terminal nodes have mover None, never tied."""
+        weights = self.weights
+        nbr = self.nbr
+        nodes: dict[tuple[int, int], tuple] = {}
+        stack = [self.opening(v) for v in reversed(range(self.shift))]
+        while stack:
+            fm, sm, f, s, reach = stack.pop()
+            if (fm, sm) in nodes:
+                continue
+            taken = fm | sm
+            if taken == self.full:
+                nodes[fm, sm] = (fm, sm, None, False)
+                continue
+            who = mover_at(fm, sm, f, s, self.policy)
+            nodes[fm, sm] = (fm, sm, who, f == s)
+            if who is SECOND:
+                stack.append(self.optimal(fm, sm, f, s, reach)[1][0][1])
+                continue
+            # highest vertex first, so the lowest is popped first
+            m = reach & ~taken
+            while m:
+                v = m.bit_length() - 1
+                low = 1 << v
+                m ^= low
+                stack.append((fm | low, sm, f + weights[v], s, reach | nbr[v]))
+        return tuple(nodes.values())
 
 
 @dataclass(frozen=True)
@@ -351,11 +380,9 @@ def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveRepo
     per_start = []
     best_value = None
     best_start = -1
-    _first, _tied, openings = search.branches(0, 0, 0, 0, 0)
-    for start, opening in openings:
-        value = Fraction(search.best(*opening), total)
-        line = ((FIRST, start),) + search.line_from(*opening)
-        per_start.append(StartResult(start=start, value=value, line=line))
+    for start in range(instance.vertex_count):
+        value = Fraction(search.best(*search.opening(start)), total)
+        per_start.append(StartResult(start=start, value=value, line=search.line(start)))
         if best_value is None or value > best_value:
             best_value = value
             best_start = start
@@ -373,15 +400,7 @@ def principal_line(
 ) -> tuple[tuple[Player, int], ...]:
     """Canonical optimal play after opening at ``start``: both players
     pick the lowest-id move among their value-optimal options."""
-    search = _Search(instance, policy)
-    if not 0 <= start < instance.vertex_count:
-        raise ValueError(f"start vertex {start} does not exist")
-    return ((Player.FIRST, start),) + search.line_from(*search.state(1 << start, 0))
-
-
-def _replies(search: _Search, start: int) -> tuple[int, ...]:
-    _who, found = search.optimal(*search.state(1 << start, 0))
-    return tuple(v for v, _child in found)
+    return _Search(instance, policy).line(start)
 
 
 def optimal_responses(
@@ -389,12 +408,7 @@ def optimal_responses(
 ) -> tuple[int, ...]:
     """All of Second's value-optimal first replies to opening ``start``,
     in increasing vertex id."""
-    search = _Search(instance, policy)
-    if instance.vertex_count < 2:
-        raise ValueError("responses need at least two vertices")
-    if not 0 <= start < instance.vertex_count:
-        raise ValueError(f"start vertex {start} does not exist")
-    return _replies(search, start)
+    return _Search(instance, policy).replies(start)
 
 
 def canonical_strategy(instance: Instance, policy: TiePolicy):
@@ -417,8 +431,4 @@ def response_map(instance: Instance, policy: TiePolicy) -> dict[int, int]:
     """Second's canonical reply to every opening: the lowest-id vertex
     among the value-optimal responses.  Needs at least two vertices."""
     search = _Search(instance, policy)
-    if instance.vertex_count < 2:
-        raise ValueError("response map needs at least two vertices")
-    return {
-        start: _replies(search, start)[0] for start in range(instance.vertex_count)
-    }
+    return {start: search.replies(start)[0] for start in range(instance.vertex_count)}

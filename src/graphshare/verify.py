@@ -59,7 +59,6 @@ from .oracle import AUDIT_EXHAUSTIVE_CAP, BRUTE_VERTEX_CAP, audit_lines, brute_v
 # response_map and principal_line stay imported: perfbench's tracer rebinds them.
 from .solve import (
     SOLVE_VERTEX_CAP,
-    _replies,
     _Search,
     format_fraction,
     optimal_responses,
@@ -245,7 +244,7 @@ def _check_mutual_edge(instance: Instance) -> _Claims:
 
     def reply(v: int) -> int:
         if v not in replies:
-            replies[v] = _replies(search, v)[0]
+            replies[v] = search.replies(v)[0]
         return replies[v]
 
     pairs = ((a, b) for a, b in instance.edges if reply(a) == b and reply(b) == a)
@@ -259,18 +258,13 @@ def _check_mutual_edge(instance: Instance) -> _Claims:
         return
     a, b = mutual
     total = instance.total_weight
-    first_at_a = _first_weight(instance, _line(search, a))
-    first_at_b = _first_weight(instance, _line(search, b))
+    first_at_a = _first_weight(instance, search.line(a))
+    first_at_b = _first_weight(instance, search.line(b))
     if first_at_a != total - first_at_b:
         yield (
             f"w(F|open {a}) = w(S|open {b}) on mutual edge {a}-{b}",
             f"w(F|open {a})={first_at_a}, w(S|open {b})={total - first_at_b}",
         )
-
-
-def _line(search: _Search, start: int):
-    """``principal_line`` after opening ``start``, read from ``search``."""
-    return ((Player.FIRST, start),) + search.line_from(*search.state(1 << start, 0))
 
 
 def _first_weight(instance: Instance, line) -> int:

@@ -39,6 +39,7 @@ from graphshare.core import (
     apply,
     bits,
     legal_moves,
+    mover,
 )
 from graphshare.generators import gen_cycle7_family, subset_sums_distinct
 from graphshare.solve import solve, value_from
@@ -92,12 +93,6 @@ class TestExtractForest:
         forest = extract_forest(inst, policy)
         assert forest.vertex_count == inst.vertex_count
         nodes = forest.nodes()
-        states = [(node.first_mask, node.second_mask) for node in nodes]
-        assert len(set(states)) == len(states)
-        assert states[0] == (1, 0)
-        # the openings, then each First node's every extension and each
-        # Second node's canonical reply: the lowest-id value-keeping move
-        expected = {(1 << v, 0) for v in range(inst.vertex_count)}
         full = inst.full_mask
         for node in nodes:
             state = GameState(node.first_mask, node.second_mask)
@@ -114,8 +109,23 @@ class TestExtractForest:
                 assert node.mover is Player.SECOND
             else:
                 assert node.mover is Player.FIRST  # first-moves policy
+        # the reference order: a depth-first walk from the openings over
+        # each First state's every extension and each Second state's
+        # canonical reply, the lowest-id value-keeping move, with openings
+        # and successors in vertex order; a state reached again keeps its
+        # first place
+        expected = {}
+        stack = [GameState(1 << v, 0) for v in reversed(range(inst.vertex_count))]
+        while stack:
+            state = stack.pop()
+            key = (state.first_mask, state.second_mask)
+            if key in expected:
+                continue
+            expected[key] = None
+            if state.taken_mask == full:
+                continue
             moves = sorted(legal_moves(inst, state))
-            if node.mover is Player.SECOND:
+            if mover(inst, state, policy) is Player.SECOND:
                 value = value_from(inst, policy, state)
                 moves = [
                     next(
@@ -125,10 +135,8 @@ class TestExtractForest:
                         == value
                     )
                 ]
-            for v in moves:
-                child = apply(inst, state, v, policy)
-                expected.add((child.first_mask, child.second_mask))
-        assert set(states) == expected
+            stack.extend(apply(inst, state, v, policy) for v in reversed(moves))
+        assert [(node.first_mask, node.second_mask) for node in nodes] == list(expected)
 
     def test_signature_is_reproducible(self):
         inst = gen_cycle7_family(1000)

@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 from pathlib import Path
 
@@ -39,3 +40,23 @@ def test_tracer_counts_forest_nodes(monkeypatch):
         len(extract_forest(instance, TiePolicy.FORBID).nodes())
         for instance in instances
     ) == 314
+
+
+def test_tiny_traced_pass_of_every_workload(monkeypatch):
+    # every workload's tiny batch passes its own checks under the tracer,
+    # and the trace yields each per-layer metric the benchmark declares
+    # (the worker adds the two trace.* names itself)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import WORKLOADS
+
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    layers = {metric["name"] for metric in declared["per_layer"]}
+    layers -= {"trace.batch_cpu_s", "trace.overhead_s"}
+    for name, workload_class in WORKLOADS.items():
+        workload = workload_class(1, True)
+        tracer = tracing.Tracer(time.perf_counter)
+        with tracing.patched(tracer) as api:
+            outputs = workload.run(api)
+        assert workload.check(outputs) == {}, name
+        assert layers - set(tracing.layer_metrics(tracer.spans)) == set(), name

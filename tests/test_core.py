@@ -59,6 +59,19 @@ class TestInstanceValidation:
         with pytest.raises(Exception):
             Instance(weights=(1, 2), edges=((0, 2),))
 
+    def test_non_integer_input_is_refused_not_truncated(self):
+        edges = ((0, 1), (1, 2))
+        for bad, message in (
+            ((1.9, 2, 3), "vertex 0 has non-integer weight 1.9"),
+            ((1, Fraction(5, 2), 3), r"vertex 1 has non-integer weight Fraction\(5, 2\)"),
+        ):
+            with pytest.raises(TypeError, match=message):
+                Instance(weights=bad, edges=edges)
+        with pytest.raises(TypeError, match=r"edge \(0, 1.7\) has a non-integer end"):
+            Instance(weights=(1, 2, 3), edges=((0, 1.7), (1, 2)))
+        # integer-like types still convert to int
+        assert Instance(weights=(True, 2), edges=((False, 1),)).weights == (1, 2)
+
 
 class TestMasks:
     def test_bits_round_trip(self):

@@ -157,10 +157,18 @@ class TestResponses:
 
     def test_single_vertex_has_no_responses(self):
         lone = Instance(weights=(3,), edges=())
-        with pytest.raises(ValueError):
+        single = "responses need at least two vertices"
+        with pytest.raises(ValueError, match=single):
             optimal_responses(lone, TiePolicy.FORBID, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=single):
             response_map(lone, TiePolicy.FORBID)
+        pair = path([1, 2])
+        for start in (-1, pair.vertex_count):
+            missing = f"start vertex {start} does not exist"
+            with pytest.raises(ValueError, match=missing):
+                optimal_responses(pair, TiePolicy.FORBID, start)
+            with pytest.raises(ValueError, match=missing):
+                principal_line(pair, TiePolicy.FORBID, start)
 
 
 @given(inst=instances(), scale=st.integers(min_value=2, max_value=7))

@@ -140,7 +140,7 @@ def _failing_library(monkeypatch) -> list:
     monkeypatch.setattr(verify, "value_at_least", lambda *args: False)
     monkeypatch.setattr(verify, "solve", zero_solve)
     monkeypatch.setattr(verify, "brute_value", wrong_oracle)
-    monkeypatch.setattr(verify, "_replies", self_replies)
+    monkeypatch.setattr(_Search, "replies", self_replies)
     return seen
 
 
@@ -319,12 +319,12 @@ suite=mutual-edge status=FAIL cases=2 failures=2
 
 def test_mutual_edge_split_failure_render_is_pinned(monkeypatch):
     # lines that stop one move short no longer split the total exactly
-    real_line_from = _Search.line_from
+    real_line = _Search.line
 
-    def short_line(search, *state):
-        return real_line_from(search, *state)[:-1]
+    def short_line(search, start):
+        return real_line(search, start)[:-1]
 
-    monkeypatch.setattr(_Search, "line_from", short_line)
+    monkeypatch.setattr(_Search, "line", short_line)
     report = run_suite(
         "mutual-edge",
         seed=1,
@@ -392,7 +392,7 @@ def test_lazy_mutual_edge_scan_matches_the_public_views(n, seed, weight_max):
     ]
     asked = []
     lines = []
-    real_replies = verify._replies
+    real_replies = _Search.replies
     real_first_weight = verify._first_weight
 
     def recorded_replies(search, start):
@@ -406,7 +406,7 @@ def test_lazy_mutual_edge_scan_matches_the_public_views(n, seed, weight_max):
         return weight
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_replies", recorded_replies)
+        patch.setattr(_Search, "replies", recorded_replies)
         patch.setattr(verify, "_first_weight", recorded_first_weight)
         assert list(verify._check_mutual_edge(instance)) == []
     # each reply is solved once, in the order the scan first needs it
