@@ -46,7 +46,7 @@ from .core import (
 )
 from .generators import gen_cycle7_family
 from .simplex import _over_lcm, solve_lp
-from .solve import _Search, solve
+from .solve import ForestNode, _Search, solve
 
 ALTERNATE_VERTEX_CAP = VertexCap(10, "alternating search")
 HILL_VERTEX_CAP = VertexCap(12, "hill climb")
@@ -96,22 +96,6 @@ def tree_shapes(n: int):
 
 
 @dataclass(frozen=True)
-class ForestNode:
-    """One annotated state: both holdings, who moves there, and whether
-    the totals were exactly tied when play reached it.  Terminal nodes
-    carry mover None."""
-
-    first_mask: int
-    second_mask: int
-    mover: Player | None
-    tied: bool
-
-    @property
-    def terminal(self) -> bool:
-        return self.mover is None
-
-
-@dataclass(frozen=True)
 class AnnotatedScenarioForest:
     """The states reachable over all openings when Second plays only its
     canonical optimal reply and First tries every legal move, each held
@@ -136,8 +120,9 @@ def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioFo
     """Freeze Second's canonical optimal replies on ``instance`` into an
     annotated forest over all openings."""
     ALTERNATE_VERTEX_CAP.check(instance.vertex_count)
-    nodes = tuple(ForestNode(*node) for node in _Search(instance, policy).forest())
-    return AnnotatedScenarioForest(instance.vertex_count, policy, nodes)
+    return AnnotatedScenarioForest(
+        instance.vertex_count, policy, _Search(instance, policy).forest()
+    )
 
 
 # Known-hard weight layouts as (reference edges, reference weights).

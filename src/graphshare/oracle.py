@@ -166,15 +166,13 @@ def audit_lines(
     def walk(first: frozenset[int], second: frozenset[int]) -> None:
         f = sum(weights[v] for v in first)
         s = sum(weights[v] for v in second)
+        # under forbid a tie ends the line, a tied final split included
+        if forbid and f == s:
+            audits.append(_audit_one(instance, tuple(prefix), skipped=True))
+            return
         taken = first | second
         if len(taken) == n:
-            if forbid and f == s:
-                audits.append(_audit_one(instance, tuple(prefix), skipped=True))
-            else:
-                audits.append(_audit_one(instance, tuple(prefix), skipped=False))
-            return
-        if f == s and forbid:
-            audits.append(_audit_one(instance, tuple(prefix), skipped=True))
+            audits.append(_audit_one(instance, tuple(prefix), skipped=False))
             return
         if f < s:
             who = _FIRST

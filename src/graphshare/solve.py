@@ -15,16 +15,17 @@ also makes tie detection exact under the forbid policy: solving raises
 TieEncounteredError iff equal totals occur at any reachable nonempty
 state, including an exactly tied final split.
 
-One engine, ``_Search``, serves every view through three expanders:
-``gain`` (the value search; ``best`` adds the current total),
-``optimal`` (the mover and its value-optimal moves, lowest vertex id
-first) and ``reaches`` (the zero-window decision "does First finish
-with at least T?", which stops at the first decisive move and so
-skips most states).  Over the first two, ``line``, ``replies`` and
-``forest`` read canonical play, Second's replies and the adversary's
-scenario forest per opening, on one shared memo per search; no other
-module builds a search state.  ``value_at_least`` is the view over
-the third, for checks that only compare the value with a floor.
+One engine, ``_Search``, serves every view through two searches:
+``gain``, the value search (``best`` adds the current total), and
+``reaches``, the zero-window decision "does First finish with at least
+T?", which stops at the first decisive move and so skips most states.
+``optimal`` reads the value search: the mover's optimal moves are the
+moves whose child keeps the state's value, lowest vertex id first.
+Through it, ``line``, ``replies`` and ``forest`` read canonical play,
+Second's replies and the adversary's scenario forest (``ForestNode``)
+per opening, on one shared memo per search; no other module builds a
+search state.  ``value_at_least`` is the view over ``reaches``, for
+checks that only compare the value with a floor.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ SOLVE_VERTEX_CAP = VertexCap(18, "solver")
 SOLVE_WARN_VERTICES = 16
 
 
+@dataclass(frozen=True)
+class ForestNode:
+    """One annotated state: both holdings, who moves there, and whether
+    the totals were exactly tied when play reached it.  Terminal nodes
+    carry mover None and are never tied."""
+
+    first_mask: int
+    second_mask: int
+    mover: Player | None
+    tied: bool
+
+    @property
+    def terminal(self) -> bool:
+        return self.mover is None
+
+
 class _Search:
     """One solve call's worth of search state (memo is never shared
     across calls), and the only code outside the oracle that decides
@@ -57,13 +74,15 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
     masks, their totals and the union of the taken vertices' neighbor
-    masks.  Three expanders read it: ``gain``, the value search,
-    ``optimal``, the mover with its value-optimal moves, and
-    ``reaches``, the decision against a target weight.  ``state`` and
-    ``opening`` build it, ``best`` adds First's total to ``gain``, and
-    per opening ``line``, ``replies`` and ``forest`` read canonical
-    play, Second's replies and the scenario forest.  The sign of the
-    gap ``f - s`` names the mover; a zero gap goes to ``core.mover_at``.
+    masks.  Two searches expand it: ``gain``, the value search, and
+    ``reaches``, the decision against a target weight.  They are the hot
+    loops, so each inlines its move loop and lets the sign of the gap
+    ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
+    gap.  ``optimal`` takes the mover from ``core.mover_at`` and keeps
+    each move whose child keeps the state's value.  ``state`` and
+    ``opening`` build a state, ``best`` adds First's total to ``gain``,
+    and per opening ``line``, ``replies`` and ``forest`` read canonical
+    play, Second's replies and the scenario forest.
 
     ``gain`` memoizes First's future gain, which depends only on the
     taken set and the gap ``d``, under the one-int key
@@ -211,46 +230,29 @@ class _Search:
     def optimal(self, fm: int, sm: int, f: int, s: int, reach: int):
         """``(mover, moves)`` at a nonterminal state: ``moves`` holds
         ``(vertex, child state)`` for each of the mover's value-optimal
-        moves, lowest vertex id first, the canonical one for both sides."""
+        moves, lowest vertex id first, the canonical one for both sides.
+        The game is zero-sum, so a move is optimal exactly when its child
+        keeps the state's value."""
+        who = mover_at(fm, sm, f, s, self.policy)
+        first_moves = who is FIRST
+        d = f - s
+        keep = self.gain(fm, sm, d, reach)
         taken = fm | sm
-        if f < s:
-            first_moves = True
-        elif f > s:
-            first_moves = False
-        else:
-            first_moves = mover_at(fm, sm, f, s, self.policy) is FIRST
         m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
         nbr = self.nbr
-        d = f - s
-        found = None
-        if first_moves:
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                w = weights[v]
-                r = w + self.gain(fm | low, sm, d + w, reach | nbr[v])
-                if found is None or r > best_val:
-                    best_val = r
-                    found = []
-                elif r != best_val:
-                    continue
-                found.append((v, (fm | low, sm, f + w, s, reach | nbr[v])))
-            return FIRST, found
+        found = []
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
             w = weights[v]
-            r = self.gain(fm, sm | low, d - w, reach | nbr[v])
-            if found is None or r < best_val:
-                best_val = r
-                found = []
-            elif r != best_val:
-                continue
-            found.append((v, (fm, sm | low, f, s + w, reach | nbr[v])))
-        return SECOND, found
+            if first_moves:
+                if w + self.gain(fm | low, sm, d + w, reach | nbr[v]) == keep:
+                    found.append((v, (fm | low, sm, f + w, s, reach | nbr[v])))
+            elif self.gain(fm, sm | low, d - w, reach | nbr[v]) == keep:
+                found.append((v, (fm, sm | low, f, s + w, reach | nbr[v])))
+        return who, found
 
     def opening(self, v: int) -> tuple[int, int, int, int, int]:
         """The search state after First opens at ``v``."""
@@ -277,14 +279,13 @@ class _Search:
         _who, found = self.optimal(*self.opening(start))
         return tuple(v for v, _child in found)
 
-    def forest(self) -> tuple[tuple[int, int, Player | None, bool], ...]:
-        """The scenario forest's nodes ``(fm, sm, mover, tied)``, where First
-        tries every legal move and Second plays its canonical reply: each
-        reached state once, in depth-first order, openings and successors
-        in vertex order.  Terminal nodes have mover None, never tied."""
+    def forest(self) -> tuple[ForestNode, ...]:
+        """The scenario forest's nodes, where First tries every legal move
+        and Second plays its canonical reply: each reached state once, in
+        depth-first order, openings and successors in vertex order."""
         weights = self.weights
         nbr = self.nbr
-        nodes: dict[tuple[int, int], tuple] = {}
+        nodes: dict[tuple[int, int], ForestNode] = {}
         stack = [self.opening(v) for v in reversed(range(self.shift))]
         while stack:
             fm, sm, f, s, reach = stack.pop()
@@ -292,10 +293,10 @@ class _Search:
                 continue
             taken = fm | sm
             if taken == self.full:
-                nodes[fm, sm] = (fm, sm, None, False)
+                nodes[fm, sm] = ForestNode(fm, sm, None, False)
                 continue
             who = mover_at(fm, sm, f, s, self.policy)
-            nodes[fm, sm] = (fm, sm, who, f == s)
+            nodes[fm, sm] = ForestNode(fm, sm, who, f == s)
             if who is SECOND:
                 stack.append(self.optimal(fm, sm, f, s, reach)[1][0][1])
                 continue
@@ -362,12 +363,18 @@ def value_from(instance: Instance, policy: TiePolicy, state: GameState) -> Fract
     return Fraction(raw, instance.total_weight)
 
 
-def value_at_least(instance: Instance, policy: TiePolicy, share: Fraction) -> bool:
+def value_at_least(
+    instance: Instance, policy: TiePolicy, share: int | Fraction
+) -> bool:
     """Whether the game value is at least ``share``: First finishes with
     ``ceil(share * total)`` or more under optimal play.  Decided by
     ``_Search.reaches``, which visits far fewer states than ``solve``;
     under forbid it raises on every tied state it visits, so its answer
-    stands for all three policies only where no tie is reachable."""
+    stands for all three policies only where no tie is reachable.
+    ``share`` must be an int or a ``Fraction``: a float would be decided
+    at a rounded product, so it raises TypeError."""
+    if not isinstance(share, (int, Fraction)):
+        raise TypeError(f"share {share!r} is not an int or a Fraction")
     search = _Search(instance, policy)
     return search.reaches(math.ceil(share * instance.total_weight))
 

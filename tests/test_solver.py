@@ -170,6 +170,25 @@ class TestResponses:
             with pytest.raises(ValueError, match=missing):
                 principal_line(pair, TiePolicy.FORBID, start)
 
+    def test_tie_masks_raised_by_the_opening_search_are_pinned(self):
+        # both views first search the opening's replies in vertex order, so
+        # on a fresh search they meet the same first tie: a tied final
+        # split (starts 0 and 1) or a tied state of play
+        inst = path([4, 1, 2, 3, 1, 1])
+        pinned = {
+            0: (0b110001, 0b001110),
+            1: (0b001110, 0b110001),
+            2: (0b001100, 0b000011),
+            3: (0b001000, 0b000110),
+            4: (0b010100, 0b001000),
+            5: (0b100000, 0b010000),
+        }
+        for start, masks in pinned.items():
+            for view in (optimal_responses, principal_line):
+                with pytest.raises(TieEncounteredError) as raised:
+                    view(inst, TiePolicy.FORBID, start)
+                assert (raised.value.first_mask, raised.value.second_mask) == masks
+
 
 @given(inst=instances(), scale=st.integers(min_value=2, max_value=7))
 def test_value_invariant_under_weight_scaling(inst, scale):
@@ -257,6 +276,40 @@ def test_views_agree_on_tied_play(inst, policy):
             if value_from(inst, policy, apply(inst, state, v, policy)) == value
         )
         assert (node.first_mask, node.second_mask | 1 << reply) in states
+
+
+@given(inst=instances(max_n=7, weight_max=6))
+@settings(max_examples=60, deadline=None)
+def test_optimal_moves_are_the_value_keeping_moves(inst):
+    # on every canonical line and at every forest node, the search's
+    # optimal moves are the legal moves whose child keeps the state's
+    # value, in vertex order, with their children, for either mover
+    for policy in ALL_POLICIES:
+        try:
+            report = solve(inst, policy)
+        except TieEncounteredError:
+            assert policy is TiePolicy.FORBID
+            continue
+        states = set()
+        for entry in report.per_start:
+            state = GameState()
+            for _who, vertex in entry.line:
+                states.add(state)
+                state = apply(inst, state, vertex, policy)
+        for node in extract_forest(inst, policy).nodes():
+            if not node.terminal:
+                states.add(GameState(node.first_mask, node.second_mask))
+        search = _Search(inst, policy)
+        for state in states:
+            who, found = search.optimal(*search.state(state.first_mask, state.second_mask))
+            assert who is mover(inst, state, policy)
+            value = value_from(inst, policy, state)
+            expected = []
+            for v in sorted(legal_moves(inst, state)):
+                child = apply(inst, state, v, policy)
+                if value_from(inst, policy, child) == value:
+                    expected.append((v, search.state(child.first_mask, child.second_mask)))
+            assert found == expected
 
 
 def _solve_outcome(inst, policy):
@@ -379,6 +432,16 @@ class TestFloorDecision:
             assert value_at_least(tied, policy, share)
         for share in (Fraction(9, 8), Fraction(2)):
             assert not value_at_least(tied, policy, share)
+
+    def test_float_share_is_refused(self):
+        # 0.8 as a float lies just above 4/5, the value of the edge (1, 4),
+        # but its product with the total rounds down to First's 4
+        edge = path([1, 4])
+        assert Fraction(0.8) > Fraction(4, 5) == solve(edge, TiePolicy.FORBID).value
+        with pytest.raises(TypeError, match="share 0.8 is not an int or a Fraction"):
+            value_at_least(edge, TiePolicy.FORBID, 0.8)
+        assert value_at_least(edge, TiePolicy.FORBID, Fraction(4, 5))
+        assert value_at_least(edge, TiePolicy.FORBID, 1) is False
 
     def test_decision_stores_far_fewer_entries_than_solve(self):
         inst = gen_random_connected(12, 1, 0, 10**9)
