@@ -10,10 +10,16 @@ one int, which merges states that split the same taken set differently
 works in integer weight and converts to a fraction of the total at the
 edges.
 
-The value search expands every child of every reached state, which
-also makes tie detection exact under the forbid policy: solving raises
-TieEncounteredError iff equal totals occur at any reachable nonempty
-state, including an exactly tied final split.
+The value search expands every child of every reached state until one
+player holds half the total.  That player never moves again, since the
+other's total stays the smaller one, so the other takes the rest and the
+state is decided without a search.  Tie detection under the forbid
+policy stays exact: in a decided subtree the totals can meet only at
+the final split, which ties exactly when the holder has exactly half,
+and the search raises with that split's masks, the first tie a full
+expansion would meet there.  So solving raises TieEncounteredError iff
+equal totals occur at any reachable nonempty state, including an
+exactly tied final split.
 
 One engine, ``_Search``, serves every view through two searches:
 ``gain``, the value search (``best`` adds the current total), and
@@ -84,15 +90,19 @@ class _Search:
     and per opening ``line``, ``replies`` and ``forest`` read canonical
     play, Second's replies and the scenario forest.
 
-    ``gain`` memoizes First's future gain, which depends only on the
-    taken set and the gap ``d``, under the one-int key
-    ``(d << n) | taken``: states that split one taken set differently
-    with equal totals share an entry.  That key is used only while it
-    fits one 30-bit CPython digit, ``total_weight < 2**(30 - n)``,
-    decided once per search.  Heavier weights seldom repeat a gap, so
-    there the key would merge little and cost a multi-digit int; such
-    searches keep the finer pair key ``(fm << n) | sm`` with the same
-    stored values.
+    ``gain`` takes the search state like every other method and first
+    decides a state where one player holds ``half``, ``ceil(total / 2)``,
+    or more: the other player takes the rest, so First gains nothing or
+    everything left.  Those states are never stored, so the memo holds
+    only undecided states.  It memoizes First's future gain, which
+    depends only on the taken set and the gap ``d = f - s``, under the
+    one-int key ``(d << n) | taken``: states that split one taken set
+    differently with equal totals share an entry.  That key is used
+    only while it fits one 30-bit CPython digit,
+    ``total_weight < 2**(30 - n)``, decided once per search.  Heavier
+    weights seldom repeat a gap, so there the key would merge little
+    and cost a multi-digit int; such searches keep the finer pair key
+    ``(fm << n) | sm`` with the same stored values.
 
     ``reaches`` stores a bool per state under the same key, and prunes
     a state by its totals before the memo is read.  That is sound
@@ -114,6 +124,7 @@ class _Search:
         self.full = instance.full_mask
         self.shift = instance.vertex_count
         self.total = instance.total_weight
+        self.half = (self.total + 1) // 2
         self.gap_key = self.total.bit_length() + self.shift <= 30
         self.forbid = policy is TiePolicy.FORBID
         self.memo: dict[int, int] = {}
@@ -125,16 +136,21 @@ class _Search:
 
     def best(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
         """Final First total under optimal play from (fm, sm)."""
-        return f + self.gain(fm, sm, f - s, reach)
+        return f + self.gain(fm, sm, f, s, reach)
 
-    def gain(self, fm: int, sm: int, d: int, reach: int) -> int:
-        """Weight First still collects under optimal play from (fm, sm),
-        where ``d`` is the gap ``f - s``."""
-        taken = fm | sm
-        if taken == self.full:
-            if self.forbid and d == 0:
-                raise TieEncounteredError(fm, sm)
+    def gain(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
+        """Weight First still collects under optimal play from (fm, sm)."""
+        # a half-holder never moves again: the other player takes the rest
+        if f >= self.half:
+            if self.forbid and 2 * f == self.total:
+                raise TieEncounteredError(fm, self.full & ~fm)
             return 0
+        if s >= self.half:
+            if self.forbid and 2 * s == self.total:
+                raise TieEncounteredError(self.full & ~sm, sm)
+            return self.total - f - s
+        taken = fm | sm
+        d = f - s
         if self.gap_key:
             key = (d << self.shift) | taken
         else:
@@ -147,14 +163,14 @@ class _Search:
         weights = self.weights
         nbr = self.nbr
         # a zero gap means equal totals, which mover_at settles
-        if d < 0 or (d == 0 and mover_at(fm, sm, 0, 0, self.policy) is FIRST):
+        if d < 0 or (d == 0 and mover_at(fm, sm, f, s, self.policy) is FIRST):
             best_val = -1
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
                 w = weights[v]
-                r = w + self.gain(fm | low, sm, d + w, reach | nbr[v])
+                r = w + self.gain(fm | low, sm, f + w, s, reach | nbr[v])
                 if r > best_val:
                     best_val = r
         else:
@@ -164,7 +180,7 @@ class _Search:
                 m ^= low
                 v = low.bit_length() - 1
                 w = weights[v]
-                r = self.gain(fm, sm | low, d - w, reach | nbr[v])
+                r = self.gain(fm, sm | low, f, s + w, reach | nbr[v])
                 if r < best_val:
                     best_val = r
         memo[key] = best_val
@@ -235,8 +251,7 @@ class _Search:
         keeps the state's value."""
         who = mover_at(fm, sm, f, s, self.policy)
         first_moves = who is FIRST
-        d = f - s
-        keep = self.gain(fm, sm, d, reach)
+        keep = self.gain(fm, sm, f, s, reach)
         taken = fm | sm
         m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
@@ -248,9 +263,9 @@ class _Search:
             v = low.bit_length() - 1
             w = weights[v]
             if first_moves:
-                if w + self.gain(fm | low, sm, d + w, reach | nbr[v]) == keep:
+                if w + self.gain(fm | low, sm, f + w, s, reach | nbr[v]) == keep:
                     found.append((v, (fm | low, sm, f + w, s, reach | nbr[v])))
-            elif self.gain(fm, sm | low, d - w, reach | nbr[v]) == keep:
+            elif self.gain(fm, sm | low, f, s + w, reach | nbr[v]) == keep:
                 found.append((v, (fm, sm | low, f, s + w, reach | nbr[v])))
         return who, found
 
@@ -323,10 +338,11 @@ class SolveReport:
 
     ``value`` is the best per-opening value; ``best_start`` is the lowest
     vertex id attaining it.  ``state_count`` is the number of memo
-    entries, a search-size diagnostic: distinct (taken set, gap) pairs
-    when the total weight is below ``2**(30 - n)``, distinct holding
-    pairs otherwise, so it shrinks on small weights where many splits
-    of one taken set share a gap.
+    entries, a search-size diagnostic.  It counts only undecided states,
+    where neither player holds half the total: distinct (taken set, gap)
+    pairs when the total weight is below ``2**(30 - n)``, distinct
+    holding pairs otherwise, so it shrinks on small weights where many
+    splits of one taken set share a gap.
     """
 
     per_start: tuple[StartResult, ...]

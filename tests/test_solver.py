@@ -17,8 +17,11 @@ from graphshare.core import (
     TieEncounteredError,
     TiePolicy,
     apply,
+    bits,
+    legal_move_mask,
     legal_moves,
     mover,
+    mover_at,
     play_out,
 )
 from graphshare.adversary import extract_forest
@@ -344,6 +347,108 @@ def test_gap_key_merges_splits_of_one_taken_set():
     scaled = path([1 << 22] * 8)
     for policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES):
         assert solve(inst, policy).state_count < solve(scaled, policy).state_count
+
+
+class TestHalfHolderCut:
+    # a player holding half the total never moves again, so such states
+    # are decided without a memo entry
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_star_stores_only_the_leaf_openings(self, policy):
+        # the center holds 10 of 14: opening there decides the game, and
+        # after a leaf opening Second's one move, the center, decides it
+        star = Instance((10, 1, 1, 1, 1), ((0, 1), (0, 2), (0, 3), (0, 4)))
+        report = solve(star, policy)
+        assert report.value == Fraction(5, 7)
+        assert report.state_count == 4
+
+    def test_cycle7_family_stores_only_undecided_states(self):
+        # two of the three heavy vertices already hold half
+        report = solve(gen_cycle7_family(1000), TiePolicy.FORBID)
+        assert report.value == Fraction(1069, 3095)
+        assert report.state_count == 157
+
+
+def _minimax(inst, policy, fm, sm, f, s):
+    """First's final total from (fm, sm) by plain minimax: every legal
+    move expanded, in vertex order, with no memo and no cut, the mover
+    from ``core.mover_at``, and TieEncounteredError raised at the first
+    tied state met, a tied final split included."""
+    if fm | sm == inst.full_mask:
+        if policy is TiePolicy.FORBID and f == s:
+            raise TieEncounteredError(fm, sm)
+        return f
+    first_moves = mover_at(fm, sm, f, s, policy) is Player.FIRST
+    values = []
+    for v in bits(legal_move_mask(inst, GameState(fm, sm))):
+        w = inst.weights[v]
+        if first_moves:
+            values.append(_minimax(inst, policy, fm | 1 << v, sm, f + w, s))
+        else:
+            values.append(_minimax(inst, policy, fm, sm | 1 << v, f, s + w))
+    return max(values) if first_moves else min(values)
+
+
+def _reference(inst, policy, state):
+    """``_minimax``'s share from ``state``, or the masks of its tie."""
+    f, s = state.totals(inst)
+    try:
+        raw = _minimax(inst, policy, state.first_mask, state.second_mask, f, s)
+    except TieEncounteredError as exc:
+        return "tie", (exc.first_mask, exc.second_mask)
+    return "value", Fraction(raw, inst.total_weight)
+
+
+def _tie_masks(view, *args):
+    """The masks of the tie that ``view(*args)`` raises, or None."""
+    try:
+        view(*args)
+    except TieEncounteredError as exc:
+        return exc.first_mask, exc.second_mask
+    return None
+
+
+@given(
+    inst=st.one_of(
+        tree_instances(max_n=7, weight_max=4),
+        instances(max_n=7, weight_max=4),
+        tree_instances(max_n=7, weight_max=10**9),
+        instances(max_n=7, weight_max=10**9),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_search_matches_unpruned_minimax(inst, data):
+    # the value search cuts and memoizes; a full expansion in the same
+    # order must give the same values and meet the same first tie
+    n = inst.vertex_count
+    fm = 1 << data.draw(st.integers(0, n - 1))
+    sm = 0
+    for _ in range(data.draw(st.integers(0, n - 1))):
+        v = data.draw(st.sampled_from(sorted(legal_moves(inst, GameState(fm, sm)))))
+        if data.draw(st.booleans()):
+            fm |= 1 << v
+        else:
+            sm |= 1 << v
+    state = GameState(fm, sm)
+    for policy in ALL_POLICIES:
+        openings = [_reference(inst, policy, GameState(1 << v)) for v in range(n)]
+        ties = [masks for kind, masks in openings if kind == "tie"]
+        if ties:
+            assert _tie_masks(solve, inst, policy) == ties[0]
+        else:
+            report = solve(inst, policy)
+            values = [value for _kind, value in openings]
+            assert [entry.value for entry in report.per_start] == values
+            assert report.best_start == values.index(max(values))
+        for start, (kind, outcome) in enumerate(openings):
+            masks = outcome if kind == "tie" else None
+            assert _tie_masks(principal_line, inst, policy, start) == masks
+        kind, outcome = _reference(inst, policy, state)
+        if kind == "tie":
+            assert _tie_masks(value_from, inst, policy, state) == outcome
+        else:
+            assert value_from(inst, policy, state) == outcome
 
 
 @given(inst=instances(max_n=7, weight_max=3))
