@@ -420,6 +420,8 @@ def hill_climb(
     """
     n = shape.vertex_count
     HILL_VERTEX_CAP.check(n)
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     rng = random.Random(seed)
     tie_seeking = policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)
 

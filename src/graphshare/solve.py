@@ -3,12 +3,12 @@
 First maximizes the final weight they hold, Second minimizes it; the
 game is zero-sum, so one number per state settles both sides.  The
 player with the smaller total moves, so what is still to come depends
-only on the taken set and the signed gap ``f - s``: the value search
-memoizes the weight First still collects under that pair, packed into
-one int, which merges states that split the same taken set differently
-(see ``_Search`` for the width rule).  All values are exact: the search
-works in integer weight and converts to a fraction of the total at the
-edges.
+only on the taken set and the signed gap ``f - s``, and that pair fixes
+both totals: the value search memoizes First's final total under the
+pair, packed into one int, which merges states that split the same
+taken set differently (see ``_Search`` for the width rule).  All values
+are exact: the search works in integer weight and converts to a
+fraction of the total at the edges.
 
 The value search expands every child of every reached state until one
 player holds half the total.  That player never moves again, since the
@@ -22,16 +22,16 @@ equal totals occur at any reachable nonempty state, including an
 exactly tied final split.
 
 One engine, ``_Search``, serves every view through two searches:
-``gain``, the value search (``best`` adds the current total), and
-``reaches``, the zero-window decision "does First finish with at least
-T?", which stops at the first decisive move and so skips most states.
-``optimal`` reads the value search: the mover's optimal moves are the
-moves whose child keeps the state's value, lowest vertex id first.
-Through it, ``line``, ``replies`` and ``forest`` read canonical play,
-Second's replies and the adversary's scenario forest (``ForestNode``)
-per opening, on one shared memo per search; no other module builds a
-search state.  ``value_at_least`` is the view over ``reaches``, for
-checks that only compare the value with a floor.
+``best``, the value search, and ``reaches``, the zero-window decision
+"does First finish with at least T?", which stops at the first decisive
+move and so skips most states.  ``optimal`` reads the value search: the
+mover's optimal moves are the moves whose child keeps the state's value,
+lowest vertex id first.  Through it, ``line``, ``replies`` and
+``forest`` read canonical play, Second's replies and the adversary's
+scenario forest (``ForestNode``) per opening, on one shared memo per
+search; no other module builds a search state.  ``value_at_least`` is
+the view over ``reaches``, for checks that only compare the value with
+a floor.
 """
 
 from __future__ import annotations
@@ -80,36 +80,35 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
     masks, their totals and the union of the taken vertices' neighbor
-    masks.  Two searches expand it: ``gain``, the value search, and
+    masks.  Two searches expand it: ``best``, the value search, and
     ``reaches``, the decision against a target weight.  They are the hot
     loops, so each inlines its move loop and lets the sign of the gap
     ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
     gap.  ``optimal`` takes the mover from ``core.mover_at`` and keeps
     each move whose child keeps the state's value.  ``state`` and
-    ``opening`` build a state, ``best`` adds First's total to ``gain``,
-    and per opening ``line``, ``replies`` and ``forest`` read canonical
-    play, Second's replies and the scenario forest.
+    ``opening`` build a state, and per opening ``line``, ``replies`` and
+    ``forest`` read canonical play, Second's replies and the scenario
+    forest.
 
-    ``gain`` takes the search state like every other method and first
+    ``best`` takes the search state like every other method and first
     decides a state where one player holds ``half``, ``ceil(total / 2)``,
-    or more: the other player takes the rest, so First gains nothing or
-    everything left.  Those states are never stored, so the memo holds
-    only undecided states.  It memoizes First's future gain, which
-    depends only on the taken set and the gap ``d = f - s``, under the
-    one-int key ``(d << n) | taken``: states that split one taken set
-    differently with equal totals share an entry.  That key is used
-    only while it fits one 30-bit CPython digit,
+    or more: the other player takes the rest, so First ends with ``f``
+    or with ``total - s``.  Those states are never stored, so the memo
+    holds only undecided states.  It memoizes First's final total.  Play
+    from a state depends only on the taken set and the gap ``d = f - s``,
+    so the one-int key ``(d << n) | taken`` merges states that split one
+    taken set differently with equal totals.  That key is used only
+    while it fits one 30-bit CPython digit,
     ``total_weight < 2**(30 - n)``, decided once per search.  Heavier
     weights seldom repeat a gap, so there the key would merge little
     and cost a multi-digit int; such searches keep the finer pair key
-    ``(fm << n) | sm`` with the same stored values.
+    ``(fm << n) | sm``.
 
-    ``reaches`` stores a bool per state under the same key, and prunes
-    a state by its totals before the memo is read.  That is sound
-    because either key fixes ``f`` and ``s``: the pair key names both
-    holdings, and the gap key gives ``f + s = w(taken)`` and
-    ``f - s = d``.  So states that share a key share their totals, and
-    with them the pruning and the verdict.
+    Either key fixes ``f`` and ``s``: the pair key names both holdings,
+    and the gap key gives ``f + s = w(taken)`` and ``f - s = d``.  So
+    states that share a key share their totals and their final total,
+    and ``reaches``, which stores a bool per state under the same key,
+    may prune a state by its totals before the memo is read.
 
     Construction refuses an instance above ``SOLVE_VERTEX_CAP``, so
     every view fails before any search.
@@ -136,19 +135,15 @@ class _Search:
 
     def best(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
         """Final First total under optimal play from (fm, sm)."""
-        return f + self.gain(fm, sm, f, s, reach)
-
-    def gain(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
-        """Weight First still collects under optimal play from (fm, sm)."""
         # a half-holder never moves again: the other player takes the rest
         if f >= self.half:
             if self.forbid and 2 * f == self.total:
                 raise TieEncounteredError(fm, self.full & ~fm)
-            return 0
+            return f
         if s >= self.half:
             if self.forbid and 2 * s == self.total:
                 raise TieEncounteredError(self.full & ~sm, sm)
-            return self.total - f - s
+            return self.total - s
         taken = fm | sm
         d = f - s
         if self.gap_key:
@@ -169,18 +164,16 @@ class _Search:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                w = weights[v]
-                r = w + self.gain(fm | low, sm, f + w, s, reach | nbr[v])
+                r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
                 if r > best_val:
                     best_val = r
         else:
-            best_val = self.total  # no future gain exceeds the total
+            best_val = self.total  # no final total exceeds the total
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                w = weights[v]
-                r = self.gain(fm, sm | low, f, s + w, reach | nbr[v])
+                r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
                 if r < best_val:
                     best_val = r
         memo[key] = best_val
@@ -196,7 +189,7 @@ class _Search:
         heaviest first, lowest vertex id among equal weights, and the
         first decisive child ends the state.  Verdicts hold for this
         target only, so each call fills a fresh ``verdicts`` table, under
-        ``gain``'s key.  Each state's mover comes from
+        ``best``'s key.  Each state's mover comes from
         ``core.mover_at`` before it is pruned, so under forbid a tied
         state the search visits raises TieEncounteredError, a tied final
         split too; but pruning skips states, so a tie that ``solve``
@@ -251,7 +244,7 @@ class _Search:
         keeps the state's value."""
         who = mover_at(fm, sm, f, s, self.policy)
         first_moves = who is FIRST
-        keep = self.gain(fm, sm, f, s, reach)
+        keep = self.best(fm, sm, f, s, reach)
         taken = fm | sm
         m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
@@ -261,12 +254,12 @@ class _Search:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            w = weights[v]
             if first_moves:
-                if w + self.gain(fm | low, sm, f + w, s, reach | nbr[v]) == keep:
-                    found.append((v, (fm | low, sm, f + w, s, reach | nbr[v])))
-            elif self.gain(fm, sm | low, f, s + w, reach | nbr[v]) == keep:
-                found.append((v, (fm, sm | low, f, s + w, reach | nbr[v])))
+                child = (fm | low, sm, f + weights[v], s, reach | nbr[v])
+            else:
+                child = (fm, sm | low, f, s + weights[v], reach | nbr[v])
+            if self.best(*child) == keep:
+                found.append((v, child))
         return who, found
 
     def opening(self, v: int) -> tuple[int, int, int, int, int]:
@@ -337,12 +330,12 @@ class SolveReport:
     """Per-opening values and canonical lines, plus the game value.
 
     ``value`` is the best per-opening value; ``best_start`` is the lowest
-    vertex id attaining it.  ``state_count`` is the number of memo
-    entries, a search-size diagnostic.  It counts only undecided states,
-    where neither player holds half the total: distinct (taken set, gap)
-    pairs when the total weight is below ``2**(30 - n)``, distinct
-    holding pairs otherwise, so it shrinks on small weights where many
-    splits of one taken set share a gap.
+    vertex id attaining it.  ``state_count`` is the number of final
+    totals the value search memoized, a search-size diagnostic.  It
+    counts only undecided states, where neither player holds half the
+    total: distinct (taken set, gap) pairs when the total weight is below
+    ``2**(30 - n)``, distinct holding pairs otherwise, so it shrinks on
+    small weights where many splits of one taken set share a gap.
     """
 
     per_start: tuple[StartResult, ...]

@@ -408,6 +408,16 @@ class TestHillClimb:
         with pytest.raises(InstanceTooLargeError):
             hill_climb(big, TiePolicy.FORBID, seed=0, iters=5)
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_refuses_no_iterations(self, iters):
+        with pytest.raises(ValueError, match="iters must be at least 1"):
+            hill_climb(GraphShape.cycle(7), TiePolicy.FORBID, seed=0, iters=iters)
+
+    def test_size_cap_checked_before_iters(self):
+        big = GraphShape.cycle(HILL_VERTEX_CAP + 1)
+        with pytest.raises(InstanceTooLargeError):
+            hill_climb(big, TiePolicy.FORBID, seed=0, iters=0)
+
     def test_result_type(self):
         result = hill_climb(GraphShape.single_edge(), TiePolicy.FORBID, seed=3, iters=20)
         assert isinstance(result, AdversaryResult)

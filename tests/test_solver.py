@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -449,6 +450,54 @@ def test_search_matches_unpruned_minimax(inst, data):
             assert _tie_masks(value_from, inst, policy, state) == outcome
         else:
             assert value_from(inst, policy, state) == outcome
+
+
+def _solved_search(inst, policy):
+    """The search that ``solve(inst, policy)`` ran, after it returned."""
+    searches = []
+
+    class Recorded(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    with mock.patch("graphshare.solve._Search", Recorded):
+        solve(inst, policy)
+    return searches[0]
+
+
+def _split_with_gap(inst, taken, d):
+    """Some ``(fm, sm)`` that splits ``taken`` with ``f - s == d``."""
+    for fm in range(taken + 1):
+        if fm & ~taken == 0:
+            sm = taken ^ fm
+            if inst.weight_of(fm) - inst.weight_of(sm) == d:
+                return fm, sm
+    raise AssertionError(f"no split of {taken:b} has gap {d}")
+
+
+@given(
+    inst=st.one_of(
+        instances(max_n=7, weight_max=4), instances(max_n=7, weight_max=10**9)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_memo_holds_final_totals(inst):
+    # either memo key fixes both totals, so each entry is First's final
+    # total at any state its key names
+    n = inst.vertex_count
+    for policy in ALL_POLICIES:
+        try:
+            search = _solved_search(inst, policy)
+        except TieEncounteredError:
+            continue
+        for key, total in search.memo.items():
+            if search.gap_key:
+                fm, sm = _split_with_gap(inst, key & inst.full_mask, key >> n)
+            else:
+                fm, sm = key >> n, key & inst.full_mask
+            f, s = inst.weight_of(fm), inst.weight_of(sm)
+            assert _minimax(inst, policy, fm, sm, f, s) == total
 
 
 @given(inst=instances(max_n=7, weight_max=3))
