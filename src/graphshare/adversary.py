@@ -274,8 +274,7 @@ def lp_minimize(forest: AnnotatedScenarioForest):
 
 
 def _integerize(weight_fractions) -> tuple[int, ...]:
-    denom = math.lcm(*(f.denominator for f in weight_fractions))
-    ints = [int(f * denom) for f in weight_fractions]
+    ints, _ = _over_lcm(weight_fractions)
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 

@@ -78,11 +78,7 @@ def _check_weight_args(n: int, weight_max: int) -> None:
 
 def gen_random_tree(n: int, seed: int, weight_max: int) -> Instance:
     """Seeded uniform labeled tree with weights drawn from [1, weight_max]."""
-    _check_weight_args(n, weight_max)
-    rng = random.Random(seed)
-    edges = _prufer_edges(rng, n)
-    weights = tuple(rng.randint(1, weight_max) for _ in range(n))
-    return Instance(weights=weights, edges=tuple(edges))
+    return gen_random_connected(n, 0, seed, weight_max)
 
 
 def gen_random_connected(

@@ -35,9 +35,11 @@ so:
   stay near 36 bits, where scaling whole rows by 10^9 grows them to
   about 335.  A row-by-row scale would reweight the phase-one objective
   and change its pivots.
-- The phase-two cost row is carried through phase one as one more
-  tableau row.  Recomputing it afterwards as ``f*row/d`` need not be
-  an integer.
+- One table.  The cost rows are its last rows, below the constraints,
+  and every pivot updates them with the rest: the phase-two row from
+  the start, and the phase-one row between them during phase one.
+  Recomputing the phase-two row after phase one as ``f*row/d`` need
+  not give integers.
 - ``d`` stays positive.  Driving a leftover artificial out of the basis
   may pivot on a negative entry (say, an equality row with zero right
   side and negative coefficients); every row and ``d`` are then negated.
@@ -59,37 +61,41 @@ class LPUnboundedError(GraphShareError):
     """The objective decreases without bound over the feasible region."""
 
 
-def _pivot(rows, costs, basis, pivot_row, pivot_col, d):
-    """Pivot on rows[pivot_row][pivot_col]; return the new denominator."""
-    prow = rows[pivot_row]
+def _pivot(table, basis, pivot_row, pivot_col, d):
+    """Pivot on table[pivot_row][pivot_col]; return the new denominator.
+
+    Every row is updated, the cost rows below the constraints included.
+    """
+    prow = table[pivot_row]
     p = prow[pivot_col]
-    for table in (rows, costs):
-        for i, row in enumerate(table):
-            if row is prow:
-                continue
-            f = row[pivot_col]
-            if f:
-                table[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:
-                table[i] = [p * a // d for a in row]
+    for i, row in enumerate(table):
+        if row is prow:
+            continue
+        f = row[pivot_col]
+        if f:
+            table[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        elif p != d:
+            table[i] = [p * a // d for a in row]
     basis[pivot_row] = pivot_col
     if p > 0:
         return p
-    for table in (rows, costs):
-        for i, row in enumerate(table):
-            table[i] = [-a for a in row]
+    for i, row in enumerate(table):
+        table[i] = [-a for a in row]
     return -p
 
 
-def _optimize(rows, costs, basis, d):
-    """Run Bland-rule pivots until no column improves costs[0]; return d."""
-    cost = costs[0]
+def _optimize(table, basis, d):
+    """Run Bland-rule pivots until no column improves the cost row
+    ``table[len(basis)]``; return d.  The ratio test reads the
+    constraint rows above it."""
+    m = len(basis)
     while True:
+        cost = table[m]
         pivot_col = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if pivot_col is None:
             return d
         pivot_row = -1
-        for i, row in enumerate(rows):
+        for i, row in enumerate(table[:m]):
             coeff = row[pivot_col]
             if coeff > 0:
                 if pivot_row < 0:
@@ -101,8 +107,7 @@ def _optimize(rows, costs, basis, d):
                     pivot_row, best_rhs, best_coeff = i, row[-1], coeff
         if pivot_row < 0:
             raise LPUnboundedError("no blocking row for an improving column")
-        d = _pivot(rows, costs, basis, pivot_row, pivot_col, d)
-        cost = costs[0]
+        d = _pivot(table, basis, pivot_row, pivot_col, d)
 
 
 def _scaled(values, scale):
@@ -132,66 +137,53 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
     ncols = nvars + n_ub  # structural then one slack per inequality
     coeff_scale = math.lcm(*(v.denominator for row in data for v in row[:-1]))
     rhs_scale = math.lcm(*(row[-1].denominator for row in data))
-    rows: list[list[int]] = []
-    needs_artificial: list[bool] = []
+    # each row starts with one basic column at coefficient 1: its slack,
+    # or an artificial for an equality or for an inequality whose
+    # negative right side negates its slack
+    art_rows = [i for i, row in enumerate(data) if i >= n_ub or row[-1] < 0]
+    n_art = len(art_rows)
+    basis = [nvars + i for i in range(len(data))]
+    for k, i in enumerate(art_rows):
+        basis[i] = ncols + k
+    table: list[list[int]] = []
     for i, values in enumerate(data):
-        row = _scaled(values[:-1], coeff_scale) + [0] * n_ub
+        row = _scaled(values[:-1], coeff_scale) + [0] * (n_ub + n_art)
         row += _scaled(values[-1:], coeff_scale * rhs_scale)
         if i < n_ub:
             row[nvars + i] = 1
         if row[-1] < 0:
             row = [-v for v in row]
-        # an inequality's slack starts basic unless negation flipped it
-        needs_artificial.append(i >= n_ub or row[nvars + i] < 0)
-        rows.append(row)
-    n_art = sum(needs_artificial)
-    basis: list[int] = []
-    art_col = ncols
-    for i, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend([0] * n_art)
-        row.append(rhs)
-        if needs_artificial[i]:
-            row[art_col] = 1
-            basis.append(art_col)
-            art_col += 1
-        else:
-            basis.append(nvars + i)
+        row[basis[i]] = 1
+        table.append(row)
 
     # the basic columns start at cost 0, so c is already the reduced cost
     cost, cost_scale = _over_lcm(c)
-    cost += [0] * (n_ub + n_art + 1)
+    table.append(cost + [0] * (n_ub + n_art + 1))
     d = 1
     if n_art:
         phase_one = [0] * ncols + [1] * n_art + [0]
+        for i in art_rows:
+            phase_one = [a - r for a, r in zip(phase_one, table[i])]
+        table.insert(len(basis), phase_one)
+        d = _optimize(table, basis, d)
+        if table.pop(len(basis))[-1] < 0:
+            raise LPInfeasibleError("phase one ended with positive infeasibility")
+        # drive leftover artificials out of the basis, in ascending rows
         for i, b in enumerate(basis):
             if b >= ncols:
-                phase_one = [a - r for a, r in zip(phase_one, rows[i])]
-        costs = [phase_one, cost]
-        d = _optimize(rows, costs, basis, d)
-        if -costs[0][-1] > 0:
-            raise LPInfeasibleError("phase one ended with positive infeasibility")
-        # drive leftover artificials out of the basis or drop their rows
-        del costs[0]
-        drop: list[int] = []
-        for i in range(len(rows)):
-            if basis[i] >= ncols:
-                pivot_col = next((j for j in range(ncols) if rows[i][j]), None)
-                if pivot_col is None:
-                    drop.append(i)
-                else:
-                    d = _pivot(rows, costs, basis, i, pivot_col, d)
-        for i in reversed(drop):
-            rows.pop(i)
-            basis.pop(i)
-        # no artificial is basic any more, and none may enter again
-        rows = [row[:ncols] + row[-1:] for row in rows]
-        cost = costs[0][:ncols] + costs[0][-1:]
+                pivot_col = next((j for j in range(ncols) if table[i][j]), None)
+                if pivot_col is not None:
+                    d = _pivot(table, basis, i, pivot_col, d)
+        # an artificial still basic has a row of zeros outside the
+        # artificial columns, so the row goes; the cost row stays, and
+        # no artificial column is kept, so none may enter again
+        keep = [i for i, b in enumerate(basis) if b < ncols]
+        basis = [basis[i] for i in keep]
+        table = [table[i][:ncols] + table[i][-1:] for i in [*keep, -1]]
 
-    costs = [cost]
-    d = _optimize(rows, costs, basis, d)
+    d = _optimize(table, basis, d)
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = Fraction(rows[i][-1], d * rhs_scale)
-    return x, Fraction(-costs[0][-1], d * cost_scale * rhs_scale)
+            x[b] = Fraction(table[i][-1], d * rhs_scale)
+    return x, Fraction(-table[-1][-1], d * cost_scale * rhs_scale)

@@ -180,6 +180,34 @@ class TestLPMinimize:
         forest = extract_forest(instance, policy)
         assert_rows_hold(forest, *lp_minimize(forest))
 
+    @pytest.mark.parametrize(
+        "instance, policy, calls, pivots",
+        [
+            (gen_cycle7_family(1000), TiePolicy.FORBID, 4, 94),
+            (SPIDER.instance(SPIDER_SEED), TiePolicy.FIRST_MOVES, 4, 107),
+        ],
+        ids=["cycle7-forbid", "spider-first"],
+    )
+    def test_pivot_counts_pinned(self, instance, policy, calls, pivots, monkeypatch):
+        # Bland's rule fixes every pivot, so a changed count means a
+        # changed pivot sequence, which may land on another degenerate
+        # vertex and move the pinned traces
+        counts = {"solve_lp": 0, "_pivot": 0}
+
+        def count(module, name):
+            wrapped = getattr(module, name)
+
+            def call(*args):
+                counts[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        count(adversary, "solve_lp")
+        count(simplex, "_pivot")
+        lp_minimize(extract_forest(instance, policy))
+        assert counts == {"solve_lp": calls, "_pivot": pivots}
+
     @given(inst=instances(max_n=6), policy=st.sampled_from(list(TiePolicy)))
     @settings(max_examples=40, deadline=None)
     def test_point_satisfies_every_row_on_random_forests(self, inst, policy):
@@ -196,9 +224,9 @@ class TestLPMinimize:
         pivot = simplex._pivot
         sizes = []
 
-        def measured(rows, costs, basis, pivot_row, pivot_col, d):
-            new_d = pivot(rows, costs, basis, pivot_row, pivot_col, d)
-            entries = [a for table in (rows, costs) for row in table for a in row]
+        def measured(table, basis, pivot_row, pivot_col, d):
+            new_d = pivot(table, basis, pivot_row, pivot_col, d)
+            entries = [a for row in table for a in row]
             sizes.append(max(abs(a).bit_length() for a in [*entries, d, new_d]))
             return new_d
 
