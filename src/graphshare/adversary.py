@@ -30,7 +30,6 @@ candidate has an exact value, under every policy.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -217,7 +216,9 @@ def lp_minimize(forest: AnnotatedScenarioForest):
 
     Solved by row generation over an exact rational simplex: only
     violated constraints enter the working LP, and the returned point is
-    feasible for the full system, hence exactly optimal.  The rows are
+    feasible for the full system, hence exactly optimal.  Active rows
+    hold exactly at each LP point, so the check scans every row and
+    finds only rows outside the working LP violated.  The rows are
     checked in integers: every right side is put over one denominator
     once, the point over its own each round, and a row's excess scaled
     by both, which orders the violated rows as their rational excess
@@ -248,8 +249,9 @@ def lp_minimize(forest: AnnotatedScenarioForest):
             ub_rows.append((_mask_coeffs(n, sm, fm), -balance - second_slack))
     objective = [0] * n + [1]
     rhs_nums, rhs_den = _over_lcm([rhs for _, rhs in ub_rows])
+    # no active row shows a positive excess, so none enters twice, and
+    # ``active`` keeps the order rows entered in, which fixes the pivots
     active: list[int] = []
-    active_set: set[int] = set()
     while True:
         a_ub = [ub_rows[i][0] for i in active]
         b_ub = [ub_rows[i][1] for i in active]
@@ -258,8 +260,6 @@ def lp_minimize(forest: AnnotatedScenarioForest):
         # excess = (lhs - rhs) * x_den * rhs_den: one positive scale for all
         violated = []
         for i, (row, _) in enumerate(ub_rows):
-            if i in active_set:
-                continue
             lhs = sum(c * v for c, v in zip(row, x_nums) if c)
             excess = lhs * rhs_den - rhs_nums[i] * x_den
             if excess > 0:
@@ -268,9 +268,7 @@ def lp_minimize(forest: AnnotatedScenarioForest):
             weights = tuple(x[v] + eps for v in range(n))
             return weights, x[n]
         violated.sort(key=lambda item: (-item[0], item[1]))
-        for _, i in violated[:12]:
-            active.append(i)
-            active_set.add(i)
+        active.extend(i for _, i in violated[:12])
 
 
 def _integerize(weight_fractions) -> tuple[int, ...]:
@@ -339,10 +337,14 @@ def alternate_optimize(
 
     Runs one extract/minimize/certify chain per ladder start (known-hard
     seeds for recognized shapes, then neutral patterns), sharing a
-    global iteration budget and forest-signature memory.  A chain ends
-    on a repeated forest or a stalled best; the search ends when the
-    budget or the ladder runs out.  Deterministic in its inputs, and the
-    reported value is always the exact solver's, never the LP bound.
+    budget of ``max_iters`` LP iterations, one trace record each, and
+    forest-signature memory.  A chain ends on a repeated forest or a
+    stalled best.  The search ends with stop reason ``"converged"`` when
+    the ladder runs out and ``"max_iters"`` when the budget does.  Each
+    ladder start is certified before the budget is tested, so the result
+    can come from a start that no record shows, below the last record's
+    ``best_value``.  Deterministic in its inputs, and the reported value
+    is always the exact solver's, never the LP bound.
     """
     ALTERNATE_VERTEX_CAP.check(shape.vertex_count)
     if max_iters < 1:
@@ -353,43 +355,38 @@ def alternate_optimize(
     seen_signatures: set[frozenset] = set()
     trace: list[IterationRecord] = []
     stop_reason = "converged"
-    iteration = 0
     for start in ladder:
-        current, start_value = _certify_candidate(shape, start, policy)
-        if best_value is None or start_value < best_value:
-            best_instance, best_value = current, start_value
-        for step in itertools.count():
-            if iteration >= max_iters:
-                stop_reason = "max_iters"
-                break
+        current, value = _certify_candidate(shape, start, policy)
+        if best_value is None or value < best_value:
+            best_instance, best_value = current, value
+        chain_start = len(trace)
+        while len(trace) < max_iters:
             forest = extract_forest(current, policy)
             signature = forest.signature()
             if signature in seen_signatures:
                 break
             seen_signatures.add(signature)
             lp_weights, lp_bound = lp_minimize(forest)
-            candidate_weights = _integerize(lp_weights)
-            candidate, candidate_value = _certify_candidate(
-                shape, candidate_weights, policy
+            current, value = _certify_candidate(
+                shape, _integerize(lp_weights), policy
             )
-            stalled = candidate_value >= best_value - IMPROVEMENT_EPS
-            if candidate_value < best_value:
-                best_instance, best_value = candidate, candidate_value
+            stalled = value >= best_value - IMPROVEMENT_EPS
+            if value < best_value:
+                best_instance, best_value = current, value
             trace.append(
                 IterationRecord(
-                    iteration=iteration,
+                    iteration=len(trace),
                     lp_bound=lp_bound,
-                    candidate_value=candidate_value,
+                    candidate_value=value,
                     best_value=best_value,
                 )
             )
-            iteration += 1
             # a chain's first candidate may certify worse than its seed
             # and still be worth extracting from; later stalls end it
-            if step and stalled:
+            if stalled and len(trace) > chain_start + 1:
                 break
-            current = candidate
-        if stop_reason == "max_iters":
+        else:
+            stop_reason = "max_iters"
             break
     return AdversaryResult(
         instance=best_instance,
@@ -424,9 +421,6 @@ def hill_climb(
     rng = random.Random(seed)
     tie_seeking = policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)
 
-    def certify(w):
-        return _certified(shape.instance(w), policy)
-
     bases = _start_ladder(shape, policy)
     bases.append(tuple(rng.randint(1, max(4, 4 * n)) for _ in range(n)))
     # min keeps the first of equally valued bases
@@ -455,7 +449,7 @@ def hill_climb(
         if updated < 1 or updated == current:
             continue
         candidate = weights[:v] + (updated,) + weights[v + 1 :]
-        candidate_value = certify(candidate)
+        candidate_value = _certified(shape.instance(candidate), policy)
         if candidate_value is not None and candidate_value < value:
             weights, value = candidate, candidate_value
             stalled = 0
@@ -477,7 +471,7 @@ def hill_climb(
                 for _ in range(2):
                     u = rng.randrange(n)
                     shaken[u] = max(1, shaken[u] + rng.randint(-3, 3))
-                shaken_value = certify(tuple(shaken))
+                shaken_value = _certified(shape.instance(shaken), policy)
                 if shaken_value is not None:
                     weights, value = tuple(shaken), shaken_value
     return AdversaryResult(

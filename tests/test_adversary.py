@@ -208,6 +208,35 @@ class TestLPMinimize:
         lp_minimize(extract_forest(instance, policy))
         assert counts == {"solve_lp": calls, "_pivot": pivots}
 
+    @pytest.mark.parametrize(
+        "instance, policy",
+        [
+            (gen_cycle7_family(1000), TiePolicy.FORBID),
+            (SPIDER.instance(SPIDER_SEED), TiePolicy.FIRST_MOVES),
+        ],
+        ids=["cycle7-forbid", "spider-first"],
+    )
+    def test_working_lp_rows_only_extend(self, instance, policy, monkeypatch):
+        # each LP point satisfies its active rows exactly, so no active
+        # row is found violated again: every round keeps the last one's
+        # rows, in order, and adds new ones, none of them twice
+        calls = []
+        solve_lp = adversary.solve_lp
+
+        def recorded(objective, a_ub, b_ub, *rest):
+            calls.append((list(a_ub), list(b_ub)))
+            return solve_lp(objective, a_ub, b_ub, *rest)
+
+        monkeypatch.setattr(adversary, "solve_lp", recorded)
+        lp_minimize(extract_forest(instance, policy))
+        assert len(calls) > 1
+        for (rows, rhs), (next_rows, next_rhs) in zip(calls, calls[1:]):
+            assert len(next_rows) > len(rows)
+            assert all(a is b for a, b in zip(rows, next_rows))
+            assert next_rhs[: len(rhs)] == rhs
+        final = calls[-1][0]
+        assert len({id(row) for row in final}) == len(final)
+
     @given(inst=instances(max_n=6), policy=st.sampled_from(list(TiePolicy)))
     @settings(max_examples=40, deadline=None)
     def test_point_satisfies_every_row_on_random_forests(self, inst, policy):
@@ -363,6 +392,28 @@ class TestAlternateOptimize:
             shuffled, TiePolicy.FIRST_MOVES, max_iters=2
         )
         assert result.value <= Fraction(1044, 3054)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_counts_trace_records(self, budget):
+        # the unbudgeted run converges after two records; at a budget of
+        # 2 the next ladder start is certified with the budget spent, so
+        # that run stops on the budget
+        shape = GraphShape.cycle(7)
+        full = alternate_optimize(shape, TiePolicy.FORBID)
+        assert full.stop_reason == "converged" and len(full.trace) == 2
+        result = alternate_optimize(shape, TiePolicy.FORBID, max_iters=budget)
+        assert result.trace == full.trace[: min(budget, 2)]
+        assert result.stop_reason == ("converged" if budget == 3 else "max_iters")
+
+    def test_ladder_start_is_certified_before_the_budget_is_tested(self):
+        # the sixth record spends the budget, and the ladder start after
+        # it, which no record shows, still certifies below every record
+        five = alternate_optimize(SPIDER, TiePolicy.SECOND_MOVES, max_iters=5)
+        assert five.value == Fraction(60, 121)
+        six = alternate_optimize(SPIDER, TiePolicy.SECOND_MOVES, max_iters=6)
+        assert len(six.trace) == 6 and six.stop_reason == "max_iters"
+        assert six.trace[-1].best_value == Fraction(60, 121)
+        assert six.value == Fraction(11, 24)
 
     def test_single_edge_pins_one_half(self):
         result = alternate_optimize(GraphShape.single_edge(), TiePolicy.FORBID)
