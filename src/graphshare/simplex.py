@@ -40,9 +40,13 @@ so:
   the start, and the phase-one row between them during phase one.
   Recomputing the phase-two row after phase one as ``f*row/d`` need
   not give integers.
-- ``d`` stays positive.  Driving a leftover artificial out of the basis
-  may pivot on a negative entry (say, an equality row with zero right
-  side and negative coefficients); every row and ``d`` are then negated.
+- ``d`` stays positive: every pivot is on a positive entry.  Driving a
+  leftover artificial out of the basis may meet a negative entry (say,
+  an equality row with zero right side and negative coefficients); its
+  row is negated first.  Phase one ended feasible, so that row's right
+  side is 0 and stays 0, and the table after the pivot is exactly the
+  one that pivoting on the negative entry and then negating every row
+  would give.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class LPUnboundedError(GraphShareError):
 
 
 def _pivot(table, basis, pivot_row, pivot_col, d):
-    """Pivot on table[pivot_row][pivot_col]; return the new denominator.
+    """Pivot on table[pivot_row][pivot_col], a positive entry; return the
+    new denominator.
 
     Every row is updated, the cost rows below the constraints included.
     """
@@ -77,11 +82,7 @@ def _pivot(table, basis, pivot_row, pivot_col, d):
         elif p != d:
             table[i] = [p * a // d for a in row]
     basis[pivot_row] = pivot_col
-    if p > 0:
-        return p
-    for i, row in enumerate(table):
-        table[i] = [-a for a in row]
-    return -p
+    return p
 
 
 def _optimize(table, basis, d):
@@ -173,6 +174,8 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
             if b >= ncols:
                 pivot_col = next((j for j in range(ncols) if table[i][j]), None)
                 if pivot_col is not None:
+                    if table[i][pivot_col] < 0:
+                        table[i] = [-a for a in table[i]]
                     d = _pivot(table, basis, i, pivot_col, d)
         # an artificial still basic has a row of zeros outside the
         # artificial columns, so the row goes; the cost row stays, and

@@ -24,14 +24,15 @@ exactly tied final split.
 One engine, ``_Search``, serves every view through two searches:
 ``best``, the value search, and ``reaches``, the zero-window decision
 "does First finish with at least T?", which stops at the first decisive
-move and so skips most states.  ``optimal`` reads the value search: the
-mover's optimal moves are the moves whose child keeps the state's value,
-lowest vertex id first.  Through it, ``line``, ``replies`` and
-``forest`` read canonical play, Second's replies and the adversary's
-scenario forest (``ForestNode``) per opening, on one shared memo per
-search; no other module builds a search state.  ``value_at_least`` is
-the view over ``reaches``, for checks that only compare the value with
-a floor.
+move and so skips most states.  Outside those two, every child state
+comes from ``moves``, the mover's legal moves with their child states,
+lowest vertex id first; ``optimal`` keeps those whose child keeps the
+state's value under the value search.  Through them, ``line``,
+``replies`` and ``forest`` read canonical play, Second's replies and
+the adversary's scenario forest (``ForestNode``) per opening, on one
+shared memo per search; no other module builds a search state.
+``value_at_least`` is the view over ``reaches``, for checks that only
+compare the value with a floor.
 """
 
 from __future__ import annotations
@@ -84,11 +85,13 @@ class _Search:
     ``reaches``, the decision against a target weight.  They are the hot
     loops, so each inlines its move loop and lets the sign of the gap
     ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
-    gap.  ``optimal`` takes the mover from ``core.mover_at`` and keeps
-    each move whose child keeps the state's value.  ``state`` and
-    ``opening`` build a state, and per opening ``line``, ``replies`` and
-    ``forest`` read canonical play, Second's replies and the scenario
-    forest.
+    gap.  Everywhere else one expander, ``moves``, builds the children:
+    it takes the mover from ``core.mover_at`` and lists every legal move
+    with its child state.  ``optimal`` keeps each move whose child keeps
+    the state's value.  ``state`` and ``opening`` build a state, and per
+    opening ``line``, ``replies`` and ``forest`` read canonical play,
+    Second's replies and the scenario forest, which expands First's
+    states by ``moves`` and Second's by ``optimal``.
 
     ``best`` takes the search state like every other method and first
     decides a state where one player holds ``half``, ``ceil(total / 2)``,
@@ -236,15 +239,12 @@ class _Search:
 
         return wins(0, 0, 0, 0, 0)
 
-    def optimal(self, fm: int, sm: int, f: int, s: int, reach: int):
-        """``(mover, moves)`` at a nonterminal state: ``moves`` holds
-        ``(vertex, child state)`` for each of the mover's value-optimal
-        moves, lowest vertex id first, the canonical one for both sides.
-        The game is zero-sum, so a move is optimal exactly when its child
-        keeps the state's value."""
+    def moves(self, fm: int, sm: int, f: int, s: int, reach: int):
+        """``(mover, moves)`` at a nonterminal state: the mover from
+        ``core.mover_at``, and ``(vertex, child state)`` for each of its
+        legal moves, lowest vertex id first."""
         who = mover_at(fm, sm, f, s, self.policy)
         first_moves = who is FIRST
-        keep = self.best(fm, sm, f, s, reach)
         taken = fm | sm
         m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
@@ -258,8 +258,23 @@ class _Search:
                 child = (fm | low, sm, f + weights[v], s, reach | nbr[v])
             else:
                 child = (fm, sm | low, f, s + weights[v], reach | nbr[v])
-            if self.best(*child) == keep:
-                found.append((v, child))
+            found.append((v, child))
+        return who, found
+
+    def optimal(self, fm: int, sm: int, f: int, s: int, reach: int):
+        """``moves`` narrowed to the mover's value-optimal moves, lowest
+        vertex id first, the canonical one for both sides.  The game is
+        zero-sum, so a move is optimal exactly when its child keeps the
+        state's value."""
+        who, legal = self.moves(fm, sm, f, s, reach)
+        best = self.best
+        keep = best(fm, sm, f, s, reach)
+        # a plain loop: on CPython 3.11 a comprehension costs a frame per
+        # call, and canonical lines call this once per move played
+        found = []
+        for move in legal:
+            if best(*move[1]) == keep:
+                found.append(move)
         return who, found
 
     def opening(self, v: int) -> tuple[int, int, int, int, int]:
@@ -291,30 +306,22 @@ class _Search:
         """The scenario forest's nodes, where First tries every legal move
         and Second plays its canonical reply: each reached state once, in
         depth-first order, openings and successors in vertex order."""
-        weights = self.weights
-        nbr = self.nbr
         nodes: dict[tuple[int, int], ForestNode] = {}
         stack = [self.opening(v) for v in reversed(range(self.shift))]
         while stack:
-            fm, sm, f, s, reach = stack.pop()
+            state = stack.pop()
+            fm, sm, f, s, _reach = state
             if (fm, sm) in nodes:
                 continue
-            taken = fm | sm
-            if taken == self.full:
+            if fm | sm == self.full:
                 nodes[fm, sm] = ForestNode(fm, sm, None, False)
                 continue
-            who = mover_at(fm, sm, f, s, self.policy)
+            who, found = self.moves(*state)
             nodes[fm, sm] = ForestNode(fm, sm, who, f == s)
             if who is SECOND:
-                stack.append(self.optimal(fm, sm, f, s, reach)[1][0][1])
-                continue
-            # highest vertex first, so the lowest is popped first
-            m = reach & ~taken
-            while m:
-                v = m.bit_length() - 1
-                low = 1 << v
-                m ^= low
-                stack.append((fm | low, sm, f + weights[v], s, reach | nbr[v]))
+                found = self.optimal(*state)[1][:1]
+            # reversed, so the lowest vertex is popped first
+            stack.extend(child for _v, child in reversed(found))
         return tuple(nodes.values())
 
 

@@ -83,6 +83,17 @@ class TestClosedForms:
         assert report.value == Fraction(4, 7)
         assert report.best_start == 2
 
+    @pytest.mark.parametrize(
+        "edges", [((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))], ids=["path", "triangle"]
+    )
+    def test_three_unit_weights_are_tight_under_the_tie_policies(self, edges):
+        # after the opening and Second's reply the totals tie at 1-1, and
+        # the policy hands the last vertex to its mover: under second the
+        # 1/3 floor is attained, and the path, a tree, is already below 1/2
+        inst = Instance(weights=(1, 1, 1), edges=edges)
+        assert solve(inst, TiePolicy.SECOND_MOVES).value == Fraction(1, 3)
+        assert solve(inst, TiePolicy.FIRST_MOVES).value == Fraction(2, 3)
+
     @pytest.mark.parametrize("m", [1000, 100000])
     def test_cycle7_family_value(self, m):
         inst = gen_cycle7_family(m)
@@ -286,8 +297,9 @@ def test_views_agree_on_tied_play(inst, policy):
 @settings(max_examples=60, deadline=None)
 def test_optimal_moves_are_the_value_keeping_moves(inst):
     # on every canonical line and at every forest node, the search's
-    # optimal moves are the legal moves whose child keeps the state's
-    # value, in vertex order, with their children, for either mover
+    # moves are the legal moves and its optimal moves those whose child
+    # keeps the state's value, in vertex order, with their children, for
+    # either mover
     for policy in ALL_POLICIES:
         try:
             report = solve(inst, policy)
@@ -305,14 +317,18 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
                 states.add(GameState(node.first_mask, node.second_mask))
         search = _Search(inst, policy)
         for state in states:
-            who, found = search.optimal(*search.state(state.first_mask, state.second_mask))
+            here = search.state(state.first_mask, state.second_mask)
+            who, found = search.optimal(*here)
             assert who is mover(inst, state, policy)
             value = value_from(inst, policy, state)
-            expected = []
+            legal, expected = [], []
             for v in sorted(legal_moves(inst, state)):
                 child = apply(inst, state, v, policy)
+                move = (v, search.state(child.first_mask, child.second_mask))
+                legal.append(move)
                 if value_from(inst, policy, child) == value:
-                    expected.append((v, search.state(child.first_mask, child.second_mask)))
+                    expected.append(move)
+            assert search.moves(*here) == (who, legal)
             assert found == expected
 
 

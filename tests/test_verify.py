@@ -90,6 +90,25 @@ def test_cycle7_records_exact_values():
     assert records["cycle7.M1000.bound"] == "1069/3095"
 
 
+def test_cycle7_fails_on_a_value_below_the_bound(monkeypatch):
+    # the family's value is exactly the bound, so a lower value is a
+    # failure too, not only a higher one
+    real_solve = verify.solve
+
+    def low_solve(instance, policy):
+        report = real_solve(instance, policy)
+        return dataclasses.replace(report, value=report.value - Fraction(1, 10**6))
+
+    monkeypatch.setattr(verify, "solve", low_solve)
+    report = run_suite("cycle7-family", seed=0, size_params={"m_values": (1000,)})
+    assert not report.passed
+    [failure] = report.failures
+    assert failure.case_id == "0000-M1000"
+    assert failure.expected == "value == 1069/3095"
+    low = Fraction(1069, 3095) - Fraction(1, 10**6)
+    assert failure.actual == f"value={low.numerator}/{low.denominator}"
+
+
 def test_tie_tree_search_failure_is_reproducible():
     # five-vertex trees cannot reach the default threshold, so the suite
     # must fail and hand back the best instance it found
@@ -220,6 +239,17 @@ def test_corpus_suite_failures_name_their_case_and_reproduce_it(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "46bf036118bd7912824af0164a03a95c1fd5bd76c2c54bf4cfd61cda702b4fc7"
     )
+
+
+def test_failures_stay_in_case_order_past_case_9999(monkeypatch):
+    # case ids are zero-padded to four digits only, so "10000-n2" sorts
+    # between "1000-n2" and "1001-n2" as a string
+    _failing_library(monkeypatch)
+    report = run_suite(
+        "tree-half", seed=0, size_params={"cases": 10002, "max_vertices": 2}
+    )
+    ids = [failure.case_id for failure in report.failures]
+    assert ids == [f"{index:04d}-n2" for index in range(10002)]
 
 
 def _failing_audits(instance, policy, start):
