@@ -24,13 +24,16 @@ exactly tied final split.
 One engine, ``_Search``, serves every view through two searches:
 ``best``, the value search, and ``reaches``, the zero-window decision
 "does First finish with at least T?", which stops at the first decisive
-move and so skips most states.  Outside those two, every child state
-comes from ``moves``, the mover's legal moves with their child states,
-lowest vertex id first; ``optimal`` keeps those whose child keeps the
-state's value under the value search.  Through them, ``line``,
-``replies`` and ``forest`` read canonical play, Second's replies and
-the adversary's scenario forest (``ForestNode``) per opening, on one
-shared memo per search; no other module builds a search state.
+move and so skips most states.  As ``best`` searches a state it also
+records the state's canonical move, the lowest-id move whose child
+keeps the value, and ``canonical`` reads it back with its child state.
+Canonical play (``line``, ``canonical_strategy``, ``response_map``) and
+Second's reply in the adversary's scenario forest (``ForestNode``) read
+that record and expand no other move.  Every other child state comes
+from ``moves``, the mover's legal moves with their child states, lowest
+vertex id first; ``optimal`` keeps those whose child keeps the state's
+value, for ``replies``, all of Second's value-optimal replies.  All of
+these share one memo per search; no other module builds a search state.
 ``value_at_least`` is the view over ``reaches``, for checks that only
 compare the value with a floor.
 """
@@ -85,33 +88,39 @@ class _Search:
     ``reaches``, the decision against a target weight.  They are the hot
     loops, so each inlines its move loop and lets the sign of the gap
     ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
-    gap.  Everywhere else one expander, ``moves``, builds the children:
-    it takes the mover from ``core.mover_at`` and lists every legal move
-    with its child state.  ``optimal`` keeps each move whose child keeps
-    the state's value.  ``state`` and ``opening`` build a state, and per
-    opening ``line``, ``replies`` and ``forest`` read canonical play,
-    Second's replies and the scenario forest, which expands First's
-    states by ``moves`` and Second's by ``optimal``.
+    gap.  ``best`` records each stored state's canonical move in
+    ``canon``, under the memo key, and ``canonical`` returns it with the
+    mover and the child state.  Everywhere else one expander, ``moves``,
+    builds the children: it takes the mover from ``core.mover_at`` and
+    lists every legal move with its child state.  ``optimal`` keeps each
+    move whose child keeps the state's value.  ``state`` and ``opening``
+    build a state, and per opening ``line``, ``replies`` and ``forest``
+    read canonical play, Second's replies and the scenario forest, which
+    expands First's states by ``moves`` and Second's by ``canonical``.
 
     ``best`` takes the search state like every other method and first
     decides a state where one player holds ``half``, ``ceil(total / 2)``,
     or more: the other player takes the rest, so First ends with ``f``
     or with ``total - s``.  Those states are never stored, so the memo
-    holds only undecided states.  It memoizes First's final total.  Play
-    from a state depends only on the taken set and the gap ``d = f - s``,
-    so the one-int key ``(d << n) | taken`` merges states that split one
-    taken set differently with equal totals.  That key is used only
-    while it fits one 30-bit CPython digit,
-    ``total_weight < 2**(30 - n)``, decided once per search.  Heavier
-    weights seldom repeat a gap, so there the key would merge little
-    and cost a multi-digit int; such searches keep the finer pair key
-    ``(fm << n) | sm``.
+    holds only undecided states.  It memoizes First's final total, and
+    ``canon`` holds, under the same keys, the lowest-id move that keeps
+    it: the mover loops go in increasing vertex id and keep a move only
+    on a strict gain.  Play from a state depends only on the taken set
+    and the gap ``d = f - s``, so the one-int key ``(d << n) | taken``
+    merges states that split one taken set differently with equal
+    totals.  That key is used only while it fits one 30-bit CPython
+    digit, ``total_weight < 2**(30 - n)``, decided once per search.
+    Heavier weights seldom repeat a gap, so there the key would merge
+    little and cost a multi-digit int; such searches keep the finer pair
+    key ``(fm << n) | sm``.
 
     Either key fixes ``f`` and ``s``: the pair key names both holdings,
     and the gap key gives ``f + s = w(taken)`` and ``f - s = d``.  So
-    states that share a key share their totals and their final total,
-    and ``reaches``, which stores a bool per state under the same key,
-    may prune a state by its totals before the memo is read.
+    states that share a key share their totals and their final total.
+    With the taken set, the totals fix the legal moves, the mover and
+    every child's key, so those states share their canonical move too.
+    ``reaches``, which stores a bool per state under the same key, may
+    prune a state by its totals before the memo is read.
 
     Construction refuses an instance above ``SOLVE_VERTEX_CAP``, so
     every view fails before any search.
@@ -130,6 +139,7 @@ class _Search:
         self.gap_key = self.total.bit_length() + self.shift <= 30
         self.forbid = policy is TiePolicy.FORBID
         self.memo: dict[int, int] = {}
+        self.canon: dict[int, int] = {}
 
     def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int]:
         """The search state of the holdings ``fm`` and ``sm``."""
@@ -170,6 +180,7 @@ class _Search:
                 r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
                 if r > best_val:
                     best_val = r
+                    pick = v
         else:
             best_val = self.total  # no final total exceeds the total
             while m:
@@ -179,7 +190,9 @@ class _Search:
                 r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
                 if r < best_val:
                     best_val = r
+                    pick = v
         memo[key] = best_val
+        self.canon[key] = pick
         return best_val
 
     def reaches(self, target: int) -> bool:
@@ -267,15 +280,30 @@ class _Search:
         zero-sum, so a move is optimal exactly when its child keeps the
         state's value."""
         who, legal = self.moves(fm, sm, f, s, reach)
-        best = self.best
-        keep = best(fm, sm, f, s, reach)
-        # a plain loop: on CPython 3.11 a comprehension costs a frame per
-        # call, and canonical lines call this once per move played
-        found = []
-        for move in legal:
-            if best(*move[1]) == keep:
-                found.append(move)
-        return who, found
+        keep = self.best(fm, sm, f, s, reach)
+        return who, [move for move in legal if self.best(*move[1]) == keep]
+
+    def canonical(self, fm: int, sm: int, f: int, s: int, reach: int):
+        """``(mover, (vertex, child state))`` of the canonical move at a
+        nonterminal state: the lowest-id move whose child keeps the
+        state's value, for either mover.  ``best`` recorded it when it
+        searched the state, so call ``best`` on the state first (a memo
+        hit on any state below a searched one).  At a decided state
+        every move keeps the value, so it is the lowest-id legal move."""
+        taken = fm | sm
+        if f >= self.half or s >= self.half:
+            m = reach & ~taken
+            v = (m & -m).bit_length() - 1
+        elif self.gap_key:
+            v = self.canon[((f - s) << self.shift) | taken]
+        else:
+            v = self.canon[(fm << self.shift) | sm]
+        low = 1 << v
+        w = self.weights[v]
+        reach |= self.nbr[v]
+        if f < s or (f == s and mover_at(fm, sm, f, s, self.policy) is FIRST):
+            return FIRST, (v, (fm | low, sm, f + w, s, reach))
+        return SECOND, (v, (fm, sm | low, f, s + w, reach))
 
     def opening(self, v: int) -> tuple[int, int, int, int, int]:
         """The search state after First opens at ``v``."""
@@ -286,11 +314,11 @@ class _Search:
     def line(self, start: int) -> tuple[tuple[Player, int], ...]:
         """Canonical play after First opens at ``start``, the opening
         included, to the end of the game."""
-        fm, sm, f, s, reach = self.opening(start)
+        state = self.opening(start)
+        self.best(*state)
         log = [(FIRST, start)]
-        while (fm | sm) != self.full:
-            who, found = self.optimal(fm, sm, f, s, reach)
-            v, (fm, sm, f, s, reach) = found[0]
+        while (state[0] | state[1]) != self.full:
+            who, (v, state) = self.canonical(*state)
             log.append((who, v))
         return tuple(log)
 
@@ -316,10 +344,13 @@ class _Search:
             if fm | sm == self.full:
                 nodes[fm, sm] = ForestNode(fm, sm, None, False)
                 continue
-            who, found = self.moves(*state)
+            if mover_at(fm, sm, f, s, self.policy) is FIRST:
+                who, found = self.moves(*state)
+            else:
+                self.best(*state)
+                who, move = self.canonical(*state)
+                found = (move,)
             nodes[fm, sm] = ForestNode(fm, sm, who, f == s)
-            if who is SECOND:
-                found = self.optimal(*state)[1][:1]
             # reversed, so the lowest vertex is popped first
             stack.extend(child for _v, child in reversed(found))
         return tuple(nodes.values())
@@ -401,17 +432,17 @@ def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveRepo
     search = _Search(instance, policy)
     total = instance.total_weight
     per_start = []
-    best_value = None
-    best_start = -1
+    best_raw = -1
     for start in range(instance.vertex_count):
-        value = Fraction(search.best(*search.opening(start)), total)
+        raw = search.best(*search.opening(start))
+        value = Fraction(raw, total)
         per_start.append(StartResult(start=start, value=value, line=search.line(start)))
-        if best_value is None or value > best_value:
-            best_value = value
+        if raw > best_raw:
+            best_raw = raw
             best_start = start
     return SolveReport(
         per_start=tuple(per_start),
-        value=best_value,
+        value=per_start[best_start].value,
         best_start=best_start,
         policy=policy,
         state_count=len(search.memo),
@@ -439,13 +470,18 @@ def canonical_strategy(instance: Instance, policy: TiePolicy):
 
     Handles the opening as well (empty state).  Both players break value
     ties toward the lowest vertex id, so two canonical strategies facing
-    each other reproduce ``principal_line``.
+    each other reproduce ``principal_line``.  An invalid state (see
+    ``core.validate_state``) or a finished game raises ValueError.
     """
     search = _Search(instance, policy)
 
     def strategy(_instance: Instance, state: GameState) -> int:
-        _who, found = search.optimal(*search.state(state.first_mask, state.second_mask))
-        return found[0][0]
+        validate_state(instance, state)
+        if state.taken_mask == instance.full_mask:
+            raise ValueError("no legal move, the game is over")
+        here = search.state(state.first_mask, state.second_mask)
+        search.best(*here)
+        return search.canonical(*here)[1][0]
 
     return strategy
 
@@ -454,4 +490,11 @@ def response_map(instance: Instance, policy: TiePolicy) -> dict[int, int]:
     """Second's canonical reply to every opening: the lowest-id vertex
     among the value-optimal responses.  Needs at least two vertices."""
     search = _Search(instance, policy)
-    return {start: search.replies(start)[0] for start in range(instance.vertex_count)}
+    if instance.vertex_count < 2:
+        raise ValueError("responses need at least two vertices")
+    table = {}
+    for start in range(instance.vertex_count):
+        opening = search.opening(start)
+        search.best(*opening)
+        table[start] = search.canonical(*opening)[1][0]
+    return table

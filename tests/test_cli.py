@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import graphshare
 from graphshare import cli, generators
 from graphshare.adversary import GraphShape
 from graphshare.cli import (
@@ -444,3 +449,20 @@ class TestPlayCommand:
         )
         assert replay.first_mask == outcome.first_mask
         assert replay.first_value == outcome.first_value
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the package's __main__ hands its arguments to cli.main
+    src = str(Path(graphshare.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "graphshare", "verify", "--suite", "nope"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: unknown suite 'nope'")

@@ -140,6 +140,15 @@ class TestLines:
         assert outcome.move_log == principal_line(inst, policy, report.best_start)
         assert outcome.first_value == report.value
 
+    def test_canonical_strategy_rejects_invalid_and_finished_states(self):
+        inst = path([1, 2, 3])
+        for policy in ALL_POLICIES:
+            strategy = canonical_strategy(inst, policy)
+            with pytest.raises(ValueError, match="before First opened"):
+                strategy(inst, GameState(0, 1))
+            with pytest.raises(ValueError, match="no legal move, the game is over"):
+                strategy(inst, GameState(0b101, 0b010))
+
     def test_value_constant_along_principal_line(self):
         inst = gen_cycle7_family(1000)
         policy = TiePolicy.FORBID
@@ -332,6 +341,48 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
             assert found == expected
 
 
+def _lowest_value_keeping_move(inst, policy, state):
+    """The canonical move by definition: the lowest legal vertex whose
+    child keeps ``value_from``'s value at ``state``."""
+    value = value_from(inst, policy, state)
+    return min(
+        v
+        for v in legal_moves(inst, state)
+        if value_from(inst, policy, apply(inst, state, v, policy)) == value
+    )
+
+
+@given(
+    case=st.one_of(
+        st.tuples(
+            instances(max_n=7, weight_max=4),
+            st.sampled_from((TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)),
+        ),
+        st.tuples(instances(max_n=7, weight_max=10**9), st.just(TiePolicy.FORBID)),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_canonical_play_is_the_lowest_value_keeping_move(case):
+    # small weights use the gap key and reach ties that the policy
+    # settles; large ones use the pair key, and forbid skips tied draws
+    inst, policy = case
+    try:
+        report = solve(inst, policy)
+    except TieEncounteredError:
+        assert policy is TiePolicy.FORBID
+        return
+    strategy = canonical_strategy(inst, policy)
+    assert strategy(inst, GameState()) == report.best_start
+    for entry in report.per_start:
+        state = GameState(1 << entry.start)
+        for who, vertex in entry.line[1:]:
+            assert who is mover(inst, state, policy)
+            expected = _lowest_value_keeping_move(inst, policy, state)
+            assert vertex == expected
+            assert strategy(inst, state) == expected
+            state = apply(inst, state, vertex, policy)
+
+
 def _solve_outcome(inst, policy):
     """Per-start values and lines with the state count, or the tie state."""
     try:
@@ -514,6 +565,30 @@ def test_memo_holds_final_totals(inst):
                 fm, sm = key >> n, key & inst.full_mask
             f, s = inst.weight_of(fm), inst.weight_of(sm)
             assert _minimax(inst, policy, fm, sm, f, s) == total
+
+
+@given(
+    inst=st.one_of(
+        instances(max_n=7, weight_max=4), instances(max_n=7, weight_max=10**9)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_canonical_moves_are_recorded_under_the_memo_keys(inst):
+    # best records one move per stored state, and it is legal at any
+    # state its key names
+    n = inst.vertex_count
+    for policy in ALL_POLICIES:
+        try:
+            search = _solved_search(inst, policy)
+        except TieEncounteredError:
+            continue
+        assert search.canon.keys() == search.memo.keys()
+        for key, v in search.canon.items():
+            if search.gap_key:
+                fm, sm = _split_with_gap(inst, key & inst.full_mask, key >> n)
+            else:
+                fm, sm = key >> n, key & inst.full_mask
+            assert legal_move_mask(inst, GameState(fm, sm)) >> v & 1
 
 
 @given(inst=instances(max_n=7, weight_max=3))
