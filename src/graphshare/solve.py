@@ -24,9 +24,12 @@ exactly tied final split.
 One engine, ``_Search``, serves every view through two searches:
 ``best``, the value search, and ``reaches``, the zero-window decision
 "does First finish with at least T?", which stops at the first decisive
-move and so skips most states.  As ``best`` searches a state it also
-records the state's canonical move, the lowest-id move whose child
-keeps the value, and ``canonical`` reads it back with its child state.
+move and so skips most states.  ``best`` screens each child inside its
+parent's move loop, decided first, then by a memo read under a key
+built from the parent's key plus a per-vertex delta, so only a memo
+miss recurses.  As it searches a state it also records the state's
+canonical move, the lowest-id move whose child keeps the value, and
+``canonical`` reads it back with its child state.
 Canonical play (``line``, ``canonical_strategy``, ``response_map``) and
 Second's reply in the adversary's scenario forest (``ForestNode``) read
 that record and expand no other move.  Every other child state comes
@@ -59,6 +62,7 @@ from .core import (
 
 SOLVE_VERTEX_CAP = VertexCap(18, "solver")
 SOLVE_WARN_VERTICES = 16
+_BITS = tuple(1 << i for i in range(2 * SOLVE_VERTEX_CAP))
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,20 @@ class _Search:
     masks, their totals and the union of the taken vertices' neighbor
     masks.  Two searches expand it: ``best``, the value search, and
     ``reaches``, the decision against a target weight.  They are the hot
-    loops, so each inlines its move loop and lets the sign of the gap
-    ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
-    gap.  ``best`` records each stored state's canonical move in
-    ``canon``, under the memo key, and ``canonical`` returns it with the
-    mover and the child state.  Everywhere else one expander, ``moves``,
-    builds the children: it takes the mover from ``core.mover_at`` and
-    lists every legal move with its child state.  ``optimal`` keeps each
-    move whose child keeps the state's value.  ``state`` and ``opening``
-    build a state, and per opening ``line``, ``replies`` and ``forest``
-    read canonical play, Second's replies and the scenario forest, which
-    expands First's states by ``moves`` and Second's by ``canonical``.
+    loops, so each writes out its own move loop and lets the sign of the
+    gap ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
+    gap.  ``best`` screens the state it is given and hands a memo miss
+    to ``expand``, whose loop screens each child the same way and
+    recurses into ``expand`` only on a miss.  ``expand`` records each
+    stored state's canonical move in ``canon``, under the memo key, and
+    ``canonical`` returns it with the mover and the child state.
+    Everywhere else one expander, ``moves``, builds the children: it
+    takes the mover from ``core.mover_at`` and lists every legal move
+    with its child state.  ``optimal`` keeps each move whose child keeps
+    the state's value.  ``state`` and ``opening`` build a state, and per
+    opening ``line``, ``replies`` and ``forest`` read canonical play,
+    Second's replies and the scenario forest, which expands First's
+    states by ``moves`` and Second's by ``canonical``.
 
     ``best`` takes the search state like every other method and first
     decides a state where one player holds ``half``, ``ceil(total / 2)``,
@@ -112,7 +119,12 @@ class _Search:
     digit, ``total_weight < 2**(30 - n)``, decided once per search.
     Heavier weights seldom repeat a gap, so there the key would merge
     little and cost a multi-digit int; such searches keep the finer pair
-    key ``(fm << n) | sm``.
+    key ``(fm << n) | sm``.  A child's key is its parent's plus the
+    moved vertex's delta, kept per search in ``first_delta`` and
+    ``second_delta``: ``(d << n) | taken == d * 2**n + taken`` for
+    either sign of ``d``, so taking ``v`` adds ``(w[v] << n) + (1 << v)``
+    to the gap key for First and ``(1 << v) - (w[v] << n)`` for Second,
+    and ``1 << (v + n)`` or ``1 << v`` to the pair key.
 
     Either key fixes ``f`` and ``s``: the pair key names both holdings,
     and the gap key gives ``f + s = w(taken)`` and ``f - s = d``.  So
@@ -140,6 +152,18 @@ class _Search:
         self.forbid = policy is TiePolicy.FORBID
         self.memo: dict[int, int] = {}
         self.canon: dict[int, int] = {}
+        # each move's memo-key delta, see above; built with plain loops
+        # and slices, since it is a fixed cost of every search
+        n = self.shift
+        if self.gap_key:
+            self.first_delta = first = []
+            self.second_delta = second = []
+            for v, w in enumerate(self.weights):
+                first.append((w << n) + (1 << v))
+                second.append((1 << v) - (w << n))
+        else:
+            self.first_delta = _BITS[n : 2 * n]
+            self.second_delta = _BITS[:n]
 
     def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int]:
         """The search state of the holdings ``fm`` and ``sm``."""
@@ -157,41 +181,72 @@ class _Search:
             if self.forbid and 2 * s == self.total:
                 raise TieEncounteredError(self.full & ~sm, sm)
             return self.total - s
-        taken = fm | sm
-        d = f - s
         if self.gap_key:
-            key = (d << self.shift) | taken
+            key = ((f - s) << self.shift) | fm | sm
         else:
             key = (fm << self.shift) | sm
-        memo = self.memo
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        m = self.full if taken == 0 else reach & ~taken
+        return self.expand(fm, sm, f, s, reach, key)
+
+    def expand(self, fm: int, sm: int, f: int, s: int, reach: int, key: int) -> int:
+        """``best`` at an undecided state missing from the memo, whose
+        key is ``key``: the mover tries each legal move and keeps the
+        best child, which it stores under ``key`` with its move.  Each
+        child is screened in the loop as ``best`` would screen it, first
+        decided, then a memo hit, so only a miss recurses; its key is
+        ``key`` plus the moved vertex's delta."""
+        half = self.half
         weights = self.weights
         nbr = self.nbr
+        get = self.memo.get
+        taken = fm | sm
+        m = self.full if taken == 0 else reach & ~taken
+        d = f - s
         # a zero gap means equal totals, which mover_at settles
         if d < 0 or (d == 0 and mover_at(fm, sm, f, s, self.policy) is FIRST):
+            delta = self.first_delta
             best_val = -1
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                r = self.best(fm | low, sm, f + weights[v], s, reach | nbr[v])
+                c = f + weights[v]
+                if c >= half:
+                    if self.forbid and 2 * c == self.total:
+                        raise TieEncounteredError(fm | low, self.full & ~(fm | low))
+                    r = c
+                else:
+                    child = key + delta[v]
+                    r = get(child)
+                    if r is None:
+                        r = self.expand(fm | low, sm, c, s, reach | nbr[v], child)
                 if r > best_val:
                     best_val = r
                     pick = v
         else:
-            best_val = self.total  # no final total exceeds the total
+            delta = self.second_delta
+            total = self.total
+            best_val = total  # no final total exceeds the total
             while m:
                 low = m & -m
                 m ^= low
                 v = low.bit_length() - 1
-                r = self.best(fm, sm | low, f, s + weights[v], reach | nbr[v])
+                c = s + weights[v]
+                if c >= half:
+                    if self.forbid and 2 * c == total:
+                        raise TieEncounteredError(self.full & ~(sm | low), sm | low)
+                    r = total - c
+                else:
+                    child = key + delta[v]
+                    r = get(child)
+                    if r is None:
+                        r = self.expand(fm, sm | low, f, c, reach | nbr[v], child)
                 if r < best_val:
                     best_val = r
                     pick = v
-        memo[key] = best_val
+        self.memo[key] = best_val
         self.canon[key] = pick
         return best_val
 

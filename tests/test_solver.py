@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -519,18 +521,24 @@ def test_search_matches_unpruned_minimax(inst, data):
             assert value_from(inst, policy, state) == outcome
 
 
-def _solved_search(inst, policy):
-    """The search that ``solve(inst, policy)`` ran, after it returned."""
-    searches = []
+def _recorded_solve(inst, policy, keep):
+    """``keep(search)`` for each search that ``solve(inst, policy)``
+    built, taken as it was built."""
+    kept = []
 
     class Recorded(_Search):
         def __init__(self, *args):
             super().__init__(*args)
-            searches.append(self)
+            kept.append(keep(self))
 
     with mock.patch("graphshare.solve._Search", Recorded):
         solve(inst, policy)
-    return searches[0]
+    return kept
+
+
+def _solved_search(inst, policy):
+    """The search that ``solve(inst, policy)`` ran, after it returned."""
+    return _recorded_solve(inst, policy, lambda search: search)[0]
 
 
 def _split_with_gap(inst, taken, d):
@@ -589,6 +597,87 @@ def test_canonical_moves_are_recorded_under_the_memo_keys(inst):
             else:
                 fm, sm = key >> n, key & inst.full_mask
             assert legal_move_mask(inst, GameState(fm, sm)) >> v & 1
+
+
+class _PlainSearch:
+    """The value search without screening, as a plain recursion: each
+    child gets a full call, which first decides it, then reads the memo
+    under a key built from scratch, and only then expands it."""
+
+    def __init__(self, inst, policy):
+        self.inst = inst
+        self.forbid = policy is TiePolicy.FORBID
+        self.policy = policy
+        self.total = inst.total_weight
+        self.half = (self.total + 1) // 2
+        self.gap_key = self.total.bit_length() + inst.vertex_count <= 30
+        self.memo = {}
+        self.canon = {}
+
+    def best(self, fm, sm, f, s):
+        inst, n = self.inst, self.inst.vertex_count
+        if f >= self.half:
+            if self.forbid and 2 * f == self.total:
+                raise TieEncounteredError(fm, inst.full_mask & ~fm)
+            return f
+        if s >= self.half:
+            if self.forbid and 2 * s == self.total:
+                raise TieEncounteredError(inst.full_mask & ~sm, sm)
+            return self.total - s
+        key = ((f - s) << n) | fm | sm if self.gap_key else (fm << n) | sm
+        if key in self.memo:
+            return self.memo[key]
+        first_moves = mover_at(fm, sm, f, s, self.policy) is Player.FIRST
+        values = {}
+        for v in bits(legal_move_mask(inst, GameState(fm, sm))):
+            w = inst.weights[v]
+            if first_moves:
+                values[v] = self.best(fm | 1 << v, sm, f + w, s)
+            else:
+                values[v] = self.best(fm, sm | 1 << v, f, s + w)
+        keep = max(values.values()) if first_moves else min(values.values())
+        self.memo[key] = keep
+        self.canon[key] = min(v for v, value in values.items() if value == keep)
+        return keep
+
+
+@given(
+    case=st.tuples(
+        st.one_of(
+            instances(max_n=7, weight_max=4), instances(max_n=7, weight_max=10**9)
+        ),
+        st.sampled_from(ALL_POLICIES),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_screened_search_stores_what_plain_recursion_stored(case):
+    # weights <= 4 take the gap key, whose deltas reach negative gaps;
+    # weights <= 10**9 mostly take the pair key
+    inst, policy = case
+    plain = _PlainSearch(inst, policy)
+    try:
+        for v, w in enumerate(inst.weights):
+            plain.best(1 << v, 0, w, 0)
+    except TieEncounteredError as exc:
+        assert _tie_masks(solve, inst, policy) == (exc.first_mask, exc.second_mask)
+        return
+    search = _solved_search(inst, policy)
+    assert search.gap_key == plain.gap_key
+    assert search.memo == plain.memo
+    assert search.canon == plain.canon
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_finished_search_is_freed_by_reference_counting(policy):
+    # a search that refers to itself, say through a closure it stores,
+    # would keep its memo until the cyclic collector runs
+    gc.disable()
+    try:
+        refs = _recorded_solve(gen_cycle7_family(1000), policy, weakref.ref)
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 @given(inst=instances(max_n=7, weight_max=3))
