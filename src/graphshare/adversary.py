@@ -410,9 +410,11 @@ def hill_climb(
     tie-resolving policies, copying another coordinate's value with a
     small offset to manufacture exactly tied sums.  A proposal is
     accepted only when the exact solver certifies a strictly smaller
-    value; forbidden-tie proposals are rejected.  After a long stall the
-    walk restarts from a perturbed copy of the incumbent.  Deterministic
-    in (shape, policy, seed, iters).
+    value; forbidden-tie proposals are rejected.  A weight vector that a
+    forbidden tie blocked is remembered, so each is certified once and
+    a repeat is rejected without a solve.  After a long stall the walk
+    restarts from a perturbed copy of the incumbent.  Deterministic in
+    (shape, policy, seed, iters).
     """
     n = shape.vertex_count
     HILL_VERTEX_CAP.check(n)
@@ -435,6 +437,17 @@ def hill_climb(
             iteration=0, lp_bound=value, candidate_value=value, best_value=value
         )
     ]
+    # a tied vector is never accepted, so one certify per vector will do
+    tied: set[tuple[int, ...]] = set()
+
+    def certified(candidate: tuple[int, ...]) -> Fraction | None:
+        if candidate in tied:
+            return None
+        value = _certified(shape.instance(candidate), policy)
+        if value is None:
+            tied.add(candidate)
+        return value
+
     stalled = 0
     for iteration in range(1, iters + 1):
         v = rng.randrange(n)
@@ -449,7 +462,7 @@ def hill_climb(
         if updated < 1 or updated == current:
             continue
         candidate = weights[:v] + (updated,) + weights[v + 1 :]
-        candidate_value = _certified(shape.instance(candidate), policy)
+        candidate_value = certified(candidate)
         if candidate_value is not None and candidate_value < value:
             weights, value = candidate, candidate_value
             stalled = 0
@@ -471,7 +484,7 @@ def hill_climb(
                 for _ in range(2):
                     u = rng.randrange(n)
                     shaken[u] = max(1, shaken[u] + rng.randint(-3, 3))
-                shaken_value = _certified(shape.instance(shaken), policy)
+                shaken_value = certified(tuple(shaken))
                 if shaken_value is not None:
                     weights, value = tuple(shaken), shaken_value
     return AdversaryResult(

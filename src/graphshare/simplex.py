@@ -1,4 +1,4 @@
-"""Dense two-phase simplex, exact, over an integer tableau.
+"""Two-phase simplex, exact, over a sparse integer tableau.
 
 Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  The
 data may be fractions; the results are exact Fractions, so the optimum
@@ -12,6 +12,13 @@ Pivoting on ``p = T[r][c]`` keeps row ``r``, replaces every other row by
 ``(p*T[i][j] - T[i][c]*T[r][j]) // d`` and then sets ``d = p``.  Each
 entry stays a minor of the starting integer tableau, so the division is
 exact, and nothing reduces a fraction inside the pivot loop.
+
+Each row is a sparse dict ``{column: numerator}`` holding only nonzero
+entries, with the right side under the key ``-1``.  The weight LP's
+rows are mostly zero, so a pivot touches only nonzero entries: a row
+with ``T[i][c] == 0`` is only rescaled by ``p/d``, and left alone when
+``p == d``; any other row changes at the pivot row's columns and is
+rescaled elsewhere.
 
 The pivots are the ones Bland's rule takes over the rationals.  The
 entering column is the first with a negative reduced cost and the
@@ -65,22 +72,38 @@ class LPUnboundedError(GraphShareError):
     """The objective decreases without bound over the feasible region."""
 
 
+# a row's right side is held under this key, below every column
+_RHS = -1
+
+
 def _pivot(table, basis, pivot_row, pivot_col, d):
     """Pivot on table[pivot_row][pivot_col], a positive entry; return the
     new denominator.
 
-    Every row is updated, the cost rows below the constraints included.
+    Every row is updated, the cost rows below the constraints included,
+    and an update reads only nonzero entries.
     """
     prow = table[pivot_row]
     p = prow[pivot_col]
     for i, row in enumerate(table):
         if row is prow:
             continue
-        f = row[pivot_col]
+        f = row.get(pivot_col)
         if f:
-            table[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            old = row.get
+            if p != d:
+                # exact off the pivot row's columns; those are set below
+                row = table[i] = {
+                    j: p * a // d for j, a in row.items() if j not in prow
+                }
+            for j, b in prow.items():
+                a = (p * old(j, 0) - f * b) // d
+                if a:
+                    row[j] = a
+                else:
+                    row.pop(j, None)
         elif p != d:
-            table[i] = [p * a // d for a in row]
+            table[i] = {j: p * a // d for j, a in row.items()}
     basis[pivot_row] = pivot_col
     return p
 
@@ -92,20 +115,23 @@ def _optimize(table, basis, d):
     m = len(basis)
     while True:
         cost = table[m]
-        pivot_col = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
+        pivot_col = min(
+            (j for j, a in cost.items() if a < 0 and j != _RHS), default=None
+        )
         if pivot_col is None:
             return d
         pivot_row = -1
         for i, row in enumerate(table[:m]):
-            coeff = row[pivot_col]
+            coeff = row.get(pivot_col, 0)
             if coeff > 0:
+                row_rhs = row.get(_RHS, 0)
                 if pivot_row < 0:
-                    pivot_row, best_rhs, best_coeff = i, row[-1], coeff
+                    pivot_row, best_rhs, best_coeff = i, row_rhs, coeff
                     continue
-                lhs = row[-1] * best_coeff
+                lhs = row_rhs * best_coeff
                 rhs = best_rhs * coeff
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
-                    pivot_row, best_rhs, best_coeff = i, row[-1], coeff
+                    pivot_row, best_rhs, best_coeff = i, row_rhs, coeff
         if pivot_row < 0:
             raise LPUnboundedError("no blocking row for an improving column")
         d = _pivot(table, basis, pivot_row, pivot_col, d)
@@ -146,47 +172,52 @@ def solve_lp(objective, a_ub, b_ub, a_eq, b_eq):
     basis = [nvars + i for i in range(len(data))]
     for k, i in enumerate(art_rows):
         basis[i] = ncols + k
-    table: list[list[int]] = []
+    table: list[dict[int, int]] = []
     for i, values in enumerate(data):
-        row = _scaled(values[:-1], coeff_scale) + [0] * (n_ub + n_art)
-        row += _scaled(values[-1:], coeff_scale * rhs_scale)
+        row = dict(enumerate(_scaled(values[:-1], coeff_scale)))
+        row[_RHS] = _scaled(values[-1:], coeff_scale * rhs_scale)[0]
         if i < n_ub:
             row[nvars + i] = 1
-        if row[-1] < 0:
-            row = [-v for v in row]
+        if row[_RHS] < 0:
+            row = {j: -a for j, a in row.items()}
         row[basis[i]] = 1
-        table.append(row)
+        table.append({j: a for j, a in row.items() if a})
 
     # the basic columns start at cost 0, so c is already the reduced cost
     cost, cost_scale = _over_lcm(c)
-    table.append(cost + [0] * (n_ub + n_art + 1))
+    table.append({j: a for j, a in enumerate(cost) if a})
     d = 1
     if n_art:
-        phase_one = [0] * ncols + [1] * n_art + [0]
+        phase_one = dict.fromkeys(range(ncols, ncols + n_art), 1)
         for i in art_rows:
-            phase_one = [a - r for a, r in zip(phase_one, table[i])]
-        table.insert(len(basis), phase_one)
+            for j, a in table[i].items():
+                phase_one[j] = phase_one.get(j, 0) - a
+        table.insert(len(basis), {j: a for j, a in phase_one.items() if a})
         d = _optimize(table, basis, d)
-        if table.pop(len(basis))[-1] < 0:
+        if table.pop(len(basis)).get(_RHS, 0) < 0:
             raise LPInfeasibleError("phase one ended with positive infeasibility")
         # drive leftover artificials out of the basis, in ascending rows
         for i, b in enumerate(basis):
             if b >= ncols:
-                pivot_col = next((j for j in range(ncols) if table[i][j]), None)
+                pivot_col = min(
+                    (j for j in table[i] if 0 <= j < ncols), default=None
+                )
                 if pivot_col is not None:
                     if table[i][pivot_col] < 0:
-                        table[i] = [-a for a in table[i]]
+                        table[i] = {j: -a for j, a in table[i].items()}
                     d = _pivot(table, basis, i, pivot_col, d)
         # an artificial still basic has a row of zeros outside the
         # artificial columns, so the row goes; the cost row stays, and
         # no artificial column is kept, so none may enter again
         keep = [i for i, b in enumerate(basis) if b < ncols]
         basis = [basis[i] for i in keep]
-        table = [table[i][:ncols] + table[i][-1:] for i in [*keep, -1]]
+        table = [
+            {j: a for j, a in table[i].items() if j < ncols} for i in [*keep, -1]
+        ]
 
     d = _optimize(table, basis, d)
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = Fraction(table[i][-1], d * rhs_scale)
-    return x, Fraction(-table[-1][-1], d * cost_scale * rhs_scale)
+            x[b] = Fraction(table[i].get(_RHS, 0), d * rhs_scale)
+    return x, Fraction(-table[-1].get(_RHS, 0), d * cost_scale * rhs_scale)

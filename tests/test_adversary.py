@@ -252,16 +252,21 @@ class TestLPMinimize:
         # coefficients would take them past 300
         pivot = simplex._pivot
         sizes = []
+        read = 0
 
         def measured(table, basis, pivot_row, pivot_col, d):
+            nonlocal read
             new_d = pivot(table, basis, pivot_row, pivot_col, d)
-            entries = [a for row in table for a in row]
+            # a row maps columns to entries: read the entries, not the keys
+            entries = [a for row in table for a in row.values()]
+            read += len(entries)
             sizes.append(max(abs(a).bit_length() for a in [*entries, d, new_d]))
             return new_d
 
         monkeypatch.setattr(simplex, "_pivot", measured)
         forest = extract_forest(SPIDER.instance(SPIDER_SEED), TiePolicy.FIRST_MOVES)
         assert_rows_hold(forest, *lp_minimize(forest))
+        assert read > 0
         assert sizes and max(sizes) <= 64
 
     def test_single_edge_closed_form(self):
@@ -481,6 +486,43 @@ class TestHillClimb:
         assert a.stop_reason == "iters"
         assert a.value <= Fraction(1069, 3095)
         assert solve(a.instance, TiePolicy.FORBID).value == a.value
+
+    def test_tied_candidate_is_certified_once(self, monkeypatch):
+        # a forbidden tie is never accepted, so a vector that tied once
+        # is rejected again without a second solve
+        tied = []
+        exact = adversary.solve
+
+        def recorded(*args):
+            try:
+                return exact(*args)
+            except TieEncounteredError:
+                tied.append(args[0].weights)
+                raise
+
+        monkeypatch.setattr(adversary, "solve", recorded)
+        hill_climb(GraphShape.cycle(7), TiePolicy.FORBID, seed=0, iters=300)
+        assert len(tied) == len(set(tied)) == 72
+
+    @pytest.mark.parametrize(
+        "seed, iters, value, weights, iterations",
+        [
+            (0, 300, "355/1031", (1002, 1015, 17, 7, 12, 1026, 14), [0, 14, 104, 145]),
+            # restarts after a stall raise the walk's value, so a vector
+            # rejected for its value before one may be accepted after it
+            (3, 1000, "41/119", (1001, 1015, 17, 7, 11, 1027, 16), [0, 26, 29, 69, 86]),
+        ],
+    )
+    def test_cycle7_forbid_climb_is_pinned(
+        self, seed, iters, value, weights, iterations
+    ):
+        # skipping repeated tied vectors draws the same random numbers
+        # and accepts the same proposals as certifying each one again
+        shape = GraphShape.cycle(7)
+        result = hill_climb(shape, TiePolicy.FORBID, seed=seed, iters=iters)
+        assert result.value == Fraction(value)
+        assert result.instance.weights == weights
+        assert [record.iteration for record in result.trace] == iterations
 
     def test_size_cap(self):
         big = GraphShape.cycle(HILL_VERTEX_CAP + 1)
