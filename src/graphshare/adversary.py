@@ -34,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     Instance,
@@ -62,8 +63,15 @@ class GraphShape:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _unit(self) -> Instance:
+        # the shape at unit weights: built, and so validated, once
+        return Instance(weights=(1,) * self.vertex_count, edges=self.edges)
+
     def instance(self, weights) -> Instance:
-        return Instance(weights=tuple(weights), edges=self.edges)
+        """The shape with ``weights``; only the weights are checked, since
+        the edges and connectivity were checked once for the shape."""
+        return self._unit.with_weights(weights)
 
     @classmethod
     def cycle(cls, n: int) -> "GraphShape":

@@ -127,6 +127,25 @@ def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
+def _checked_weights(weights) -> tuple[int, ...]:
+    """``weights`` as a tuple of ints, or the error that refuses them: a
+    non-integer weight, no vertex, more vertices than the encoding
+    holds, or a weight below 1."""
+    checked = []
+    for v, w in enumerate(weights):
+        try:
+            checked.append(operator.index(w))
+        except TypeError:
+            raise TypeError(f"vertex {v} has non-integer weight {w!r}") from None
+    if not checked:
+        raise ValueError("instance needs at least one vertex")
+    MAX_VERTICES.check(len(checked))
+    for v, w in enumerate(checked):
+        if w <= 0:
+            raise NonPositiveWeightError(f"vertex {v} has weight {w}")
+    return tuple(checked)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A connected graph with positive integer vertex weights.
@@ -145,20 +164,9 @@ class Instance:
     total_weight: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        weights = []
-        for v, w in enumerate(self.weights):
-            try:
-                weights.append(operator.index(w))
-            except TypeError:
-                raise TypeError(f"vertex {v} has non-integer weight {w!r}") from None
-        object.__setattr__(self, "weights", tuple(weights))
+        weights = _checked_weights(self.weights)
+        object.__setattr__(self, "weights", weights)
         n = len(weights)
-        if n < 1:
-            raise ValueError("instance needs at least one vertex")
-        MAX_VERTICES.check(n)
-        for v, w in enumerate(weights):
-            if w <= 0:
-                raise NonPositiveWeightError(f"vertex {v} has weight {w}")
         normalized: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
@@ -184,6 +192,23 @@ class Instance:
         object.__setattr__(self, "total_weight", sum(weights))
         if not self.is_connected_mask(self.full_mask):
             raise DisconnectedGraphError("graph is not connected")
+
+    def with_weights(self, weights) -> "Instance":
+        """This graph with ``weights``, one per vertex.  The weights are
+        checked as construction checks them; the edges, neighbor masks
+        and connectivity were checked when this instance was built, and
+        the new one shares them unchecked."""
+        weights = _checked_weights(weights)
+        if len(weights) != len(self.weights):
+            raise ValueError(
+                f"{len(weights)} weights for a graph of {len(self.weights)} vertices"
+            )
+        other = object.__new__(type(self))
+        object.__setattr__(other, "weights", weights)
+        object.__setattr__(other, "edges", self.edges)
+        object.__setattr__(other, "neighbor_masks", self.neighbor_masks)
+        object.__setattr__(other, "total_weight", sum(weights))
+        return other
 
     @property
     def vertex_count(self) -> int:

@@ -29,7 +29,10 @@ parent's move loop, decided first, then by a memo read under a key
 built from the parent's key plus a per-vertex delta, so only a memo
 miss recurses.  As it searches a state it also records the state's
 canonical move, the lowest-id move whose child keeps the value, and
-``canonical`` reads it back with its child state.
+``canonical`` reads it back with its child state.  Both hot searches
+are closures over the search's constants and tables that recurse
+through their own first parameter, so neither refers to itself or to
+the search, and a finished search is freed by reference counting.
 Canonical play (``line``, ``canonical_strategy``, ``response_map``) and
 Second's reply in the adversary's scenario forest (``ForestNode``) read
 that record and expand no other move.  Every other child state comes
@@ -105,6 +108,16 @@ class _Search:
     Second's replies and the scenario forest, which expands First's
     states by ``moves`` and Second's by ``canonical``.
 
+    ``expand`` is not a method: ``__init__`` builds it once per search
+    with ``_expander``, as a closure over the search's constants and its
+    ``memo`` and ``canon``, so the loop reads them without attribute
+    loads.  It is called as ``expand(expand, ...)`` and recurses through
+    that first parameter, as ``reaches``'s ``wins`` does: a closure cell
+    that held the function would make a cycle, which keeps every table
+    alive until the cyclic collector runs.  The search refers to the
+    function and the function never to the search, so a finished search
+    is freed by reference counting.
+
     ``best`` takes the search state like every other method and first
     decides a state where one player holds ``half``, ``ceil(total / 2)``,
     or more: the other player takes the rest, so First ends with ``f``
@@ -164,6 +177,7 @@ class _Search:
         else:
             self.first_delta = _BITS[n : 2 * n]
             self.second_delta = _BITS[:n]
+        self.expand = _expander(self)
 
     def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int]:
         """The search state of the holdings ``fm`` and ``sm``."""
@@ -188,67 +202,8 @@ class _Search:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        return self.expand(fm, sm, f, s, reach, key)
-
-    def expand(self, fm: int, sm: int, f: int, s: int, reach: int, key: int) -> int:
-        """``best`` at an undecided state missing from the memo, whose
-        key is ``key``: the mover tries each legal move and keeps the
-        best child, which it stores under ``key`` with its move.  Each
-        child is screened in the loop as ``best`` would screen it, first
-        decided, then a memo hit, so only a miss recurses; its key is
-        ``key`` plus the moved vertex's delta."""
-        half = self.half
-        weights = self.weights
-        nbr = self.nbr
-        get = self.memo.get
-        taken = fm | sm
-        m = self.full if taken == 0 else reach & ~taken
-        d = f - s
-        # a zero gap means equal totals, which mover_at settles
-        if d < 0 or (d == 0 and mover_at(fm, sm, f, s, self.policy) is FIRST):
-            delta = self.first_delta
-            best_val = -1
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                c = f + weights[v]
-                if c >= half:
-                    if self.forbid and 2 * c == self.total:
-                        raise TieEncounteredError(fm | low, self.full & ~(fm | low))
-                    r = c
-                else:
-                    child = key + delta[v]
-                    r = get(child)
-                    if r is None:
-                        r = self.expand(fm | low, sm, c, s, reach | nbr[v], child)
-                if r > best_val:
-                    best_val = r
-                    pick = v
-        else:
-            delta = self.second_delta
-            total = self.total
-            best_val = total  # no final total exceeds the total
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                c = s + weights[v]
-                if c >= half:
-                    if self.forbid and 2 * c == total:
-                        raise TieEncounteredError(self.full & ~(sm | low), sm | low)
-                    r = total - c
-                else:
-                    child = key + delta[v]
-                    r = get(child)
-                    if r is None:
-                        r = self.expand(fm, sm | low, f, c, reach | nbr[v], child)
-                if r < best_val:
-                    best_val = r
-                    pick = v
-        self.memo[key] = best_val
-        self.canon[key] = pick
-        return best_val
+        expand = self.expand
+        return expand(expand, fm, sm, f, s, reach, key)
 
     def reaches(self, target: int) -> bool:
         """Whether First finishes with at least ``target`` weight under
@@ -277,7 +232,9 @@ class _Search:
         moves = tuple((1 << v, weights[v], nbr[v]) for v in order)
         verdicts = self.verdicts = {}
 
-        def wins(fm: int, sm: int, f: int, s: int, reach: int) -> bool:
+        # wins recurses through its first parameter: a closure cell that
+        # held it would make a cycle, which waits for the cyclic collector
+        def wins(wins, fm: int, sm: int, f: int, s: int, reach: int) -> bool:
             if f == s:
                 first_moves = mover_at(fm, sm, f, s, policy) is FIRST
             else:
@@ -296,16 +253,16 @@ class _Search:
             for bit, w, adj in moves:
                 if m & bit:
                     if first_moves:
-                        if wins(fm | bit, sm, f + w, s, reach | adj):
+                        if wins(wins, fm | bit, sm, f + w, s, reach | adj):
                             verdict = True
                             break
-                    elif not wins(fm, sm | bit, f, s + w, reach | adj):
+                    elif not wins(wins, fm, sm | bit, f, s + w, reach | adj):
                         verdict = False
                         break
             verdicts[key] = verdict
             return verdict
 
-        return wins(0, 0, 0, 0, 0)
+        return wins(wins, 0, 0, 0, 0, 0)
 
     def moves(self, fm: int, sm: int, f: int, s: int, reach: int):
         """``(mover, moves)`` at a nonterminal state: the mover from
@@ -409,6 +366,74 @@ class _Search:
             # reversed, so the lowest vertex is popped first
             stack.extend(child for _v, child in reversed(found))
         return tuple(nodes.values())
+
+
+def _expander(search: _Search):
+    """``search``'s ``expand``: ``best`` at an undecided state missing
+    from the memo, whose key is ``key``.  The mover tries each legal
+    move and keeps the best child, which it stores under ``key`` with
+    its move.  Each child is screened in the loop as ``best`` would
+    screen it, first decided, then a memo hit, so only a miss recurses;
+    its key is ``key`` plus the moved vertex's delta.
+
+    It closes over the search's constants and tables, never over the
+    search, and recurses through its first parameter, so it forms no
+    reference cycle (see ``_Search``)."""
+    half, total, full = search.half, search.total, search.full
+    weights, nbr = search.weights, search.nbr
+    forbid, policy = search.forbid, search.policy
+    first_delta, second_delta = search.first_delta, search.second_delta
+    memo, canon = search.memo, search.canon
+    get = memo.get
+
+    def expand(expand, fm: int, sm: int, f: int, s: int, reach: int, key: int) -> int:
+        taken = fm | sm
+        m = full if taken == 0 else reach & ~taken
+        d = f - s
+        # a zero gap means equal totals, which mover_at settles
+        if d < 0 or (d == 0 and mover_at(fm, sm, f, s, policy) is FIRST):
+            best_val = -1
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                c = f + weights[v]
+                if c >= half:
+                    if forbid and 2 * c == total:
+                        raise TieEncounteredError(fm | low, full & ~(fm | low))
+                    r = c
+                else:
+                    child = key + first_delta[v]
+                    r = get(child)
+                    if r is None:
+                        r = expand(expand, fm | low, sm, c, s, reach | nbr[v], child)
+                if r > best_val:
+                    best_val = r
+                    pick = v
+        else:
+            best_val = total  # no final total exceeds the total
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                c = s + weights[v]
+                if c >= half:
+                    if forbid and 2 * c == total:
+                        raise TieEncounteredError(full & ~(sm | low), sm | low)
+                    r = total - c
+                else:
+                    child = key + second_delta[v]
+                    r = get(child)
+                    if r is None:
+                        r = expand(expand, fm, sm | low, f, c, reach | nbr[v], child)
+                if r < best_val:
+                    best_val = r
+                    pick = v
+        memo[key] = best_val
+        canon[key] = pick
+        return best_val
+
+    return expand
 
 
 @dataclass(frozen=True)

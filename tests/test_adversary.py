@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from graphshare.adversary import (
     tree_shapes,
 )
 from graphshare.core import (
+    DisconnectedGraphError,
     GameState,
     Instance,
     InstanceTooLargeError,
@@ -64,6 +66,29 @@ class TestGraphShape:
         inst = gen_cycle7_family(1000)
         shape = GraphShape(inst.vertex_count, inst.edges)
         assert shape.instance(inst.weights) == inst
+
+    def test_instance_checks_weights_as_construction_does(self):
+        # the shape's graph is checked once; each instance shares it and
+        # checks only its weights
+        shape = GraphShape.cycle(5)
+        inst = shape.instance([3, 1, 4, 1, 5])
+        fresh = Instance(weights=(3, 1, 4, 1, 5), edges=shape.edges)
+        assert inst == fresh and hash(inst) == hash(fresh)
+        assert (inst.edges, inst.neighbor_masks, inst.total_weight) == (
+            fresh.edges,
+            fresh.neighbor_masks,
+            fresh.total_weight,
+        )
+        assert shape.instance((2,) * 5).neighbor_masks is inst.neighbor_masks
+        for bad in ((3, 1, 4.5, 1, 5), (3, 1, 0, 1, 5), (3, -1, 4, 1, 5), ()):
+            with pytest.raises(Exception) as built:
+                Instance(weights=bad, edges=shape.edges)
+            with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+                shape.instance(bad)
+        with pytest.raises(ValueError, match="6 weights for a graph of 5 vertices"):
+            shape.instance((1,) * 6)
+        with pytest.raises(DisconnectedGraphError):
+            GraphShape(3, ((0, 1),)).instance((1, 2, 3))
 
     def test_tree_shape_counts(self):
         assert len(list(tree_shapes(1))) == 1

@@ -680,6 +680,27 @@ def test_finished_search_is_freed_by_reference_counting(policy):
         gc.enable()
 
 
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_search_views_leave_no_cyclic_garbage(policy):
+    # a nested search function held in its own closure cell is a cycle:
+    # it, and the tables it closes over, would wait for the collector
+    inst = gen_random_connected(10, 2, 1, 10**9)
+    views = {
+        "solve": lambda: solve(inst, policy),
+        "value_at_least": lambda: value_at_least(inst, policy, Fraction(1, 3)),
+        "extract_forest": lambda: extract_forest(inst, policy),
+        "response_map": lambda: response_map(inst, policy),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, view in views.items():
+            view()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+
+
 @given(inst=instances(max_n=7, weight_max=3))
 @settings(max_examples=60)
 def test_small_weight_values_match_brute_force(inst):
