@@ -115,6 +115,14 @@ FIRST, SECOND = Player.FIRST, Player.SECOND
 _FORBID, _FIRST_MOVES = TiePolicy.FORBID, TiePolicy.FIRST_MOVES
 
 
+def check_policy(policy: TiePolicy) -> None:
+    """Raise TypeError unless ``policy`` is a ``TiePolicy``.  The mover
+    rule compares policies by identity, so another value, say the
+    string ``"first"``, would silently play ``second``."""
+    if not isinstance(policy, TiePolicy):
+        raise TypeError(f"tie policy {policy!r} is not a TiePolicy")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -311,6 +319,7 @@ def mover_at(
     The player with the strictly smaller total moves.  On equal totals
     the empty state belongs to First, the forbid policy raises
     TieEncounteredError, and otherwise the policy names the mover.
+    ``policy`` is not checked here: every caller checks it once.
     """
     if f < s:
         return FIRST
@@ -325,6 +334,7 @@ def mover_at(
 
 def mover(instance: Instance, state: GameState, policy: TiePolicy) -> Player:
     """Which player takes the next vertex at ``state`` (see ``mover_at``)."""
+    check_policy(policy)
     f, s = state.totals(instance)
     return mover_at(state.first_mask, state.second_mask, f, s, policy)
 
@@ -376,6 +386,7 @@ def play_out(
     Both totals are carried along, so each move's mover is decided once,
     by ``mover_at``, which also detects ties as the policy says.
     """
+    check_policy(policy)
     state = GameState()
     f = s = 0
     full = instance.full_mask

@@ -45,8 +45,6 @@ def _prufer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on n vertices via a Prufer sequence."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:

@@ -28,6 +28,7 @@ from .core import (
     TiePolicy,
     TieEncounteredError,
     VertexCap,
+    check_policy,
 )
 
 BRUTE_VERTEX_CAP = VertexCap(10, "brute-force oracle")
@@ -50,6 +51,7 @@ def _adjacency(instance: Instance) -> dict[int, set[int]]:
 def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
     """Final First share after opening at ``start``, by plain exhaustive
     recursion over every legal continuation."""
+    check_policy(policy)
     n = instance.vertex_count
     BRUTE_VERTEX_CAP.check(n)
     if not 0 <= start < n:
@@ -152,6 +154,7 @@ def audit_lines(
     reaching tied totals is reported with ``skipped=True`` rather than
     counted as a violation.
     """
+    check_policy(policy)
     n = instance.vertex_count
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} does not exist")

@@ -21,18 +21,20 @@ expansion would meet there.  So solving raises TieEncounteredError iff
 equal totals occur at any reachable nonempty state, including an
 exactly tied final split.
 
-One engine, ``_Search``, serves every view through two searches:
-``best``, the value search, and ``reaches``, the zero-window decision
-"does First finish with at least T?", which stops at the first decisive
-move and so skips most states.  ``best`` screens each child inside its
-parent's move loop, decided first, then by a memo read under a key
-built from the parent's key plus a per-vertex delta, so only a memo
-miss recurses.  As it searches a state it also records the state's
+One engine, ``_Search``, serves every view through one search loop,
+``_expander``'s.  ``best``, the value search, runs it exactly;
+``reaches``, the decision "does First finish with at least T?", runs it
+windowed at T: a player is decided once T is settled, and a mover stops
+at the first child that settles it, so most states are skipped (the
+null window of MTD(f), Plaat et al. 1996).  The loop screens each child
+inside its parent's move loop, decided first, then by a memo read under
+a key built from the parent's key plus a per-vertex delta, so only a
+memo miss recurses.  As it searches a state it also records the state's
 canonical move, the lowest-id move whose child keeps the value, and
-``canonical`` reads it back with its child state.  Both hot searches
-are closures over the search's constants and tables that recurse
-through their own first parameter, so neither refers to itself or to
-the search, and a finished search is freed by reference counting.
+``canonical`` reads it back with its child state.  The loop is a
+closure over the search's constants and tables that recurses through
+its own first parameter, so it refers neither to itself nor to the
+search, and a finished search is freed by reference counting.
 Canonical play (``line``, ``canonical_strategy``, ``response_map``) and
 Second's reply in the adversary's scenario forest (``ForestNode``) read
 that record and expand no other move.  Every other child state comes
@@ -59,6 +61,7 @@ from .core import (
     TiePolicy,
     TieEncounteredError,
     VertexCap,
+    check_policy,
     mover_at,
     validate_state,
 )
@@ -91,13 +94,13 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
     masks, their totals and the union of the taken vertices' neighbor
-    masks.  Two searches expand it: ``best``, the value search, and
-    ``reaches``, the decision against a target weight.  They are the hot
-    loops, so each writes out its own move loop and lets the sign of the
-    gap ``f - s`` name the mover, asking ``core.mover_at`` only at a zero
-    gap.  ``best`` screens the state it is given and hands a memo miss
-    to ``expand``, whose loop screens each child the same way and
-    recurses into ``expand`` only on a miss.  ``expand`` records each
+    masks.  One hot loop expands it, ``expand``, which lets the sign of
+    the gap ``f - s`` name the mover, asking ``core.mover_at`` only at a
+    zero gap.  ``best``, the value search, screens the state it is given
+    and hands a memo miss to ``expand``, whose loop screens each child
+    the same way and recurses into ``expand`` only on a miss.
+    ``reaches``, the decision against a target weight, runs a loop built
+    the same way with a window at the target.  ``expand`` records each
     stored state's canonical move in ``canon``, under the memo key, and
     ``canonical`` returns it with the mover and the child state.
     Everywhere else one expander, ``moves``, builds the children: it
@@ -111,12 +114,12 @@ class _Search:
     ``expand`` is not a method: ``__init__`` builds it once per search
     with ``_expander``, as a closure over the search's constants and its
     ``memo`` and ``canon``, so the loop reads them without attribute
-    loads.  It is called as ``expand(expand, ...)`` and recurses through
-    that first parameter, as ``reaches``'s ``wins`` does: a closure cell
-    that held the function would make a cycle, which keeps every table
-    alive until the cyclic collector runs.  The search refers to the
-    function and the function never to the search, so a finished search
-    is freed by reference counting.
+    loads; ``reaches`` builds one per call the same way.  It is called
+    as ``expand(expand, ...)`` and recurses through that first
+    parameter: a closure cell that held the function would make a
+    cycle, which keeps every table alive until the cyclic collector
+    runs.  The search refers to the function and the function never to
+    the search, so a finished search is freed by reference counting.
 
     ``best`` takes the search state like every other method and first
     decides a state where one player holds ``half``, ``ceil(total / 2)``,
@@ -124,11 +127,11 @@ class _Search:
     or with ``total - s``.  Those states are never stored, so the memo
     holds only undecided states.  It memoizes First's final total, and
     ``canon`` holds, under the same keys, the lowest-id move that keeps
-    it: the mover loops go in increasing vertex id and keep a move only
-    on a strict gain.  Play from a state depends only on the taken set
-    and the gap ``d = f - s``, so the one-int key ``(d << n) | taken``
-    merges states that split one taken set differently with equal
-    totals.  That key is used only while it fits one 30-bit CPython
+    it: the mover loops go in increasing vertex id, keep a move only on
+    a strict gain and, in ``best``, never stop early.  Play from a state
+    depends only on the taken set and the gap ``d = f - s``, so the
+    one-int key ``(d << n) | taken`` merges states that split one taken
+    set differently with equal totals.  That key is used only while it fits one 30-bit CPython
     digit, ``total_weight < 2**(30 - n)``, decided once per search.
     Heavier weights seldom repeat a gap, so there the key would merge
     little and cost a multi-digit int; such searches keep the finer pair
@@ -144,14 +147,16 @@ class _Search:
     states that share a key share their totals and their final total.
     With the taken set, the totals fix the legal moves, the mover and
     every child's key, so those states share their canonical move too.
-    ``reaches``, which stores a bool per state under the same key, may
-    prune a state by its totals before the memo is read.
+    ``reaches`` stores, under the same keys, values that are exact only
+    relative to its target, in a table of its own.
 
-    Construction refuses an instance above ``SOLVE_VERTEX_CAP``, so
-    every view fails before any search.
+    Construction refuses a policy that is not a ``TiePolicy`` with
+    TypeError and an instance above ``SOLVE_VERTEX_CAP``, so every view
+    fails before any search.
     """
 
     def __init__(self, instance: Instance, policy: TiePolicy):
+        check_policy(policy)
         SOLVE_VERTEX_CAP.check(instance.vertex_count)
         self.instance = instance
         self.policy = policy
@@ -177,7 +182,9 @@ class _Search:
         else:
             self.first_delta = _BITS[n : 2 * n]
             self.second_delta = _BITS[:n]
-        self.expand = _expander(self)
+        self.expand = _expander(
+            self, self.memo, self.canon, self.half, self.half, self.total + 1, -1
+        )
 
     def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int]:
         """The search state of the holdings ``fm`` and ``sm``."""
@@ -207,62 +214,28 @@ class _Search:
 
     def reaches(self, target: int) -> bool:
         """Whether First finishes with at least ``target`` weight under
-        optimal play: a zero-window search from the empty state.
+        optimal play: the value search from the empty state, windowed at
+        the target.
 
-        A state answers yes once ``f >= target`` and no once
-        ``s > total - target``; otherwise First needs one child that
-        answers yes and Second one that answers no.  Moves are tried
-        heaviest first, lowest vertex id among equal weights, and the
-        first decisive child ends the state.  Verdicts hold for this
-        target only, so each call fills a fresh ``verdicts`` table, under
-        ``best``'s key.  Each state's mover comes from
-        ``core.mover_at`` before it is pruned, so under forbid a tied
-        state the search visits raises TieEncounteredError, a tied final
-        split too; but pruning skips states, so a tie that ``solve``
-        would meet can go unseen.
+        A player is decided once holding ``half`` or once the target is
+        settled: First at ``target``, Second past ``total - target``.  A
+        mover's loop stops at the first child that settles the target.
+        So each stored value is exact only relative to the target: it
+        is at least ``target`` iff the state's value is.  Each call fills
+        a fresh ``verdicts`` table under ``best``'s key.  Under forbid an
+        expanded tied state raises TieEncounteredError, and so does a
+        tied final split that the half rule decides; but the window
+        skips states, so a tie that ``solve`` would meet can go unseen.
         """
-        weights = self.weights
-        nbr = self.nbr
-        full = self.full
-        shift = self.shift
-        gap_key = self.gap_key
-        policy = self.policy
-        give_up = self.total - target
-        order = sorted(range(shift), key=lambda v: -weights[v])
-        moves = tuple((1 << v, weights[v], nbr[v]) for v in order)
-        verdicts = self.verdicts = {}
-
-        # wins recurses through its first parameter: a closure cell that
-        # held it would make a cycle, which waits for the cyclic collector
-        def wins(wins, fm: int, sm: int, f: int, s: int, reach: int) -> bool:
-            if f == s:
-                first_moves = mover_at(fm, sm, f, s, policy) is FIRST
-            else:
-                first_moves = f < s
-            if f >= target:
-                return True
-            if s > give_up:
-                return False
-            taken = fm | sm
-            key = ((f - s) << shift) | taken if gap_key else (fm << shift) | sm
-            hit = verdicts.get(key)
-            if hit is not None:
-                return hit
-            m = full if taken == 0 else reach & ~taken
-            verdict = not first_moves
-            for bit, w, adj in moves:
-                if m & bit:
-                    if first_moves:
-                        if wins(wins, fm | bit, sm, f + w, s, reach | adj):
-                            verdict = True
-                            break
-                    elif not wins(wins, fm, sm | bit, f, s + w, reach | adj):
-                        verdict = False
-                        break
-            verdicts[key] = verdict
-            return verdict
-
-        return wins(wins, 0, 0, 0, 0, 0)
+        self.verdicts = verdicts = {}
+        if target <= 0:
+            return True
+        total, half = self.total, self.half
+        if target > total:
+            return False
+        cut_f, cut_s = min(half, target), min(half, total - target + 1)
+        expand = _expander(self, verdicts, {}, cut_f, cut_s, target, target - 1)
+        return expand(expand, 0, 0, 0, 0, 0, 0) >= target
 
     def moves(self, fm: int, sm: int, f: int, s: int, reach: int):
         """``(mover, moves)`` at a nonterminal state: the mover from
@@ -368,22 +341,30 @@ class _Search:
         return tuple(nodes.values())
 
 
-def _expander(search: _Search):
-    """``search``'s ``expand``: ``best`` at an undecided state missing
-    from the memo, whose key is ``key``.  The mover tries each legal
-    move and keeps the best child, which it stores under ``key`` with
-    its move.  Each child is screened in the loop as ``best`` would
-    screen it, first decided, then a memo hit, so only a miss recurses;
-    its key is ``key`` plus the moved vertex's delta.
+def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
+    """A search's ``expand``: the value of an undecided state missing
+    from ``memo``, whose key is ``key``.  The mover tries each legal
+    move and keeps the best child, which it stores under ``key`` in
+    ``memo`` with its move in ``canon``.  Each child is screened in the
+    loop, first decided, then a memo hit, so only a miss recurses; its
+    key is ``key`` plus the moved vertex's delta.
 
-    It closes over the search's constants and tables, never over the
-    search, and recurses through its first parameter, so it forms no
-    reference cycle (see ``_Search``)."""
-    half, total, full = search.half, search.total, search.full
+    Four constants set the search.  First is decided once holding
+    ``cut_f`` and Second once holding ``cut_s``, and a mover's loop
+    stops at the first child whose value reaches ``stop_f`` (First) or
+    ``stop_s`` (Second).  ``best`` uses ``half``, ``half``,
+    ``total + 1`` and ``-1``, so no loop stops early and every value is
+    exact; ``reaches`` sets them at its target.  Under forbid a cut
+    raises on a tied final split only when the half rule decides it,
+    not when the target does.
+
+    It closes over those tables and constants, never over the search,
+    and recurses through its first parameter, so it forms no reference
+    cycle (see ``_Search``)."""
+    total, full = search.total, search.full
     weights, nbr = search.weights, search.nbr
     forbid, policy = search.forbid, search.policy
     first_delta, second_delta = search.first_delta, search.second_delta
-    memo, canon = search.memo, search.canon
     get = memo.get
 
     def expand(expand, fm: int, sm: int, f: int, s: int, reach: int, key: int) -> int:
@@ -398,8 +379,8 @@ def _expander(search: _Search):
                 m ^= low
                 v = low.bit_length() - 1
                 c = f + weights[v]
-                if c >= half:
-                    if forbid and 2 * c == total:
+                if c >= cut_f:
+                    if forbid and 2 * c == total and c < stop_f:
                         raise TieEncounteredError(fm | low, full & ~(fm | low))
                     r = c
                 else:
@@ -410,6 +391,8 @@ def _expander(search: _Search):
                 if r > best_val:
                     best_val = r
                     pick = v
+                    if r >= stop_f:
+                        break
         else:
             best_val = total  # no final total exceeds the total
             while m:
@@ -417,8 +400,8 @@ def _expander(search: _Search):
                 m ^= low
                 v = low.bit_length() - 1
                 c = s + weights[v]
-                if c >= half:
-                    if forbid and 2 * c == total:
+                if c >= cut_s:
+                    if forbid and 2 * c == total and total - c > stop_s:
                         raise TieEncounteredError(full & ~(sm | low), sm | low)
                     r = total - c
                 else:
@@ -429,6 +412,8 @@ def _expander(search: _Search):
                 if r < best_val:
                     best_val = r
                     pick = v
+                    if r <= stop_s:
+                        break
         memo[key] = best_val
         canon[key] = pick
         return best_val
@@ -495,8 +480,10 @@ def value_at_least(
 ) -> bool:
     """Whether the game value is at least ``share``: First finishes with
     ``ceil(share * total)`` or more under optimal play.  Decided by
-    ``_Search.reaches``, which visits far fewer states than ``solve``;
-    under forbid it raises on every tied state it visits, so its answer
+    ``_Search.reaches``, the value search windowed at that target, which
+    visits far fewer states than ``solve``; under forbid it raises on
+    every tied state it expands and on a tied final split that half the
+    total decides, but not on one that the target decides, so its answer
     stands for all three policies only where no tie is reachable.
     ``share`` must be an int or a ``Fraction``: a float would be decided
     at a rounded product, so it raises TypeError."""

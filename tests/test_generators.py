@@ -58,6 +58,21 @@ class TestRandomTree:
         again = gen_random_tree(n, seed, weight_max=1000)
         assert format_instance(again) == format_instance(inst)
 
+    @pytest.mark.parametrize(
+        "seed, weights",
+        [
+            (0, (906691060, 413654000)),
+            (1, (144272510, 611178003)),
+            (3, (255512576, 636343333)),
+        ],
+    )
+    def test_two_vertices_draw_only_their_weights(self, seed, weights):
+        # a Prufer sequence of length n - 2 = 0 draws nothing, so the
+        # weights are the generator's first two draws
+        inst = gen_random_tree(2, seed, weight_max=10**9)
+        assert inst.edges == ((0, 1),)
+        assert inst.weights == weights
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             gen_random_tree(0, seed=1, weight_max=10)

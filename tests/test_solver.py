@@ -27,9 +27,14 @@ from graphshare.core import (
     mover_at,
     play_out,
 )
-from graphshare.adversary import extract_forest
+from graphshare.adversary import (
+    GraphShape,
+    alternate_optimize,
+    extract_forest,
+    hill_climb,
+)
 from graphshare.generators import gen_cycle7_family, gen_random_connected
-from graphshare.oracle import brute_value
+from graphshare.oracle import audit_lines, brute_value
 from graphshare.solve import (
     _Search,
     canonical_strategy,
@@ -770,6 +775,43 @@ def test_floor_decision_brackets_the_value(inst):
         assert not value_at_least(inst, policy, value + above)
 
 
+def _decision_targets(inst):
+    # the decision compares only totals of vertex sets with the target,
+    # so it answers alike between two subset sums: each sum and the next
+    # integer stand for every target, and small totals are tried whole
+    total = inst.total_weight
+    if total < 100:
+        return range(total + 2)
+    sums = {0}
+    for w in inst.weights:
+        sums |= {x + w for x in sums}
+    return sorted(sums | {x + 1 for x in sums})
+
+
+@given(
+    inst=st.one_of(
+        instances(max_n=7, weight_max=6),
+        tree_instances(max_n=7, weight_max=6),
+        instances(max_n=7, weight_max=10**9),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_floor_decision_matches_the_value_at_every_target(inst):
+    # the window's cut and stop thresholds move with the target, so the
+    # decision is checked on both sides of every total First can end with
+    total = inst.total_weight
+    for policy in ALL_POLICIES:
+        try:
+            value = solve(inst, policy).value
+        except TieEncounteredError:
+            assert policy is TiePolicy.FORBID
+            continue
+        for t in _decision_targets(inst):
+            assert value_at_least(inst, policy, Fraction(t, total)) == (
+                value * total >= t
+            ), (policy, t)
+
+
 class TestFloorDecision:
     def test_a_tie_on_every_line_raises_under_forbid(self):
         with pytest.raises(TieEncounteredError):
@@ -806,3 +848,36 @@ class TestFloorDecision:
             search = _Search(inst, TiePolicy.FORBID)
             assert search.reaches(math.ceil(share * total))
             assert len(search.verdicts) * fewer < report.state_count
+
+
+P3 = path([1, 1, 1])
+P3_SHAPE = GraphShape(3, P3.edges)
+P3_PLAYER = canonical_strategy(P3, TiePolicy.SECOND_MOVES)
+
+POLICY_ENTRIES = {
+    "solve": lambda p: solve(P3, p),
+    "value_from": lambda p: value_from(P3, p, GameState()),
+    "value_at_least": lambda p: value_at_least(P3, p, Fraction(2, 3)),
+    "principal_line": lambda p: principal_line(P3, p, 0),
+    "optimal_responses": lambda p: optimal_responses(P3, p, 0),
+    "response_map": lambda p: response_map(P3, p),
+    "canonical_strategy": lambda p: canonical_strategy(P3, p),
+    "extract_forest": lambda p: extract_forest(P3, p),
+    "alternate_optimize": lambda p: alternate_optimize(P3_SHAPE, p, max_iters=1),
+    "hill_climb": lambda p: hill_climb(P3_SHAPE, p, seed=0, iters=1),
+    "brute_value": lambda p: brute_value(P3, p, 1),
+    "audit_lines": lambda p: audit_lines(P3, p, 1),
+    "mover": lambda p: mover(P3, GameState(1, 2), p),
+    "apply": lambda p: apply(P3, GameState(1, 2), 2, p),
+    "play_out": lambda p: play_out(P3, p, P3_PLAYER, P3_PLAYER),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_ENTRIES))
+@pytest.mark.parametrize("policy", ["first", "forbid"])
+def test_a_policy_that_is_not_a_tie_policy_is_refused(name, policy):
+    # the rules compare policies by identity, so a policy's string value
+    # would silently play second; on P3 that gives 1/3, not first's 2/3
+    POLICY_ENTRIES[name](TiePolicy.FIRST_MOVES)
+    with pytest.raises(TypeError, match=f"tie policy '{policy}' is not a TiePolicy"):
+        POLICY_ENTRIES[name](policy)
