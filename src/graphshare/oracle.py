@@ -37,7 +37,6 @@ AUDIT_EXHAUSTIVE_CAP = VertexCap(8, "exhaustive audit")
 # An enum member lookup costs about ten global lookups on CPython 3.11;
 # the per-step loops below read these bindings instead.
 _FIRST, _SECOND = Player.FIRST, Player.SECOND
-_FORBID, _FIRST_MOVES = TiePolicy.FORBID, TiePolicy.FIRST_MOVES
 
 
 def _adjacency(instance: Instance) -> dict[int, set[int]]:
@@ -58,8 +57,8 @@ def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
         raise ValueError(f"start vertex {start} does not exist")
     adj = _adjacency(instance)
     weights = instance.weights
-    forbid = policy is _FORBID
-    first_on_tie = policy is _FIRST_MOVES
+    forbid = policy is TiePolicy.FORBID
+    first_on_tie = policy is TiePolicy.FIRST_MOVES
 
     def rec(first: frozenset[int], second: frozenset[int]) -> int:
         f = sum(weights[v] for v in first)
@@ -161,8 +160,8 @@ def audit_lines(
     AUDIT_EXHAUSTIVE_CAP.check(n)
     adj = _adjacency(instance)
     weights = instance.weights
-    forbid = policy is _FORBID
-    on_tie = _FIRST if policy is _FIRST_MOVES else _SECOND
+    forbid = policy is TiePolicy.FORBID
+    on_tie = _FIRST if policy is TiePolicy.FIRST_MOVES else _SECOND
     audits: list[LineAudit] = []
     prefix: list[tuple[Player, int]] = [(_FIRST, start)]
 

@@ -21,29 +21,25 @@ expansion would meet there.  So solving raises TieEncounteredError iff
 equal totals occur at any reachable nonempty state, including an
 exactly tied final split.
 
-One engine, ``_Search``, serves every view through one search loop,
-``_expander``'s.  ``best``, the value search, runs it exactly;
-``reaches``, the decision "does First finish with at least T?", runs it
-windowed at T: a player is decided once T is settled, and a mover stops
-at the first child that settles it, so most states are skipped (the
-null window of MTD(f), Plaat et al. 1996).  The loop screens each child
-inside its parent's move loop, decided first, then by a memo read under
-a key built from the parent's key plus a per-vertex delta, so only a
-memo miss recurses.  As it searches a state it also records the state's
-canonical move, the lowest-id move whose child keeps the value, and
-``canonical`` reads it back with its child state.  The loop is a
-closure over the search's constants and tables that recurses through
-its own first parameter, so it refers neither to itself nor to the
-search, and a finished search is freed by reference counting.
-Canonical play (``line``, ``canonical_strategy``, ``response_map``) and
-Second's reply in the adversary's scenario forest (``ForestNode``) read
-that record and expand no other move.  Every other child state comes
-from ``moves``, the mover's legal moves with their child states, lowest
-vertex id first; ``optimal`` keeps those whose child keeps the state's
-value, for ``replies``, all of Second's value-optimal replies.  All of
-these share one memo per search; no other module builds a search state.
-``value_at_least`` is the view over ``reaches``, for checks that only
-compare the value with a floor.
+One engine, ``_Search``, serves every view, and all of them share one
+memo per search; no other module builds a search state.  It has one
+search loop, ``_expander``'s: ``best``, the value search, runs it
+exactly, and ``reaches``, the decision "does First finish with at least
+T?", runs it windowed at T, so most states are skipped (the null window
+of MTD(f), Plaat et al. 1996).  ``value_at_least`` is the view over
+``reaches``, for checks that only compare the value with a floor.
+
+As the value search searches a state it records the state's canonical
+move, the lowest-id move whose child keeps the value, and
+``canonical`` reads it back with its child state.  Canonical play
+(``line``, ``principal_line``, ``canonical_strategy``) and Second's
+states in the adversary's scenario forest (``ForestNode``) read that
+record and expand no other move.  Second's canonical reply to an
+opening is the second move of the opening's canonical line, which is
+where ``response_map`` reads it.  Every other child state comes from
+``moves``, the mover's legal moves with their child states, lowest
+vertex id first; ``optimal_responses`` keeps the replies whose child
+keeps the opening's value.
 """
 
 from __future__ import annotations
@@ -94,49 +90,29 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
     masks, their totals and the union of the taken vertices' neighbor
-    masks.  One hot loop expands it, ``expand``, which lets the sign of
-    the gap ``f - s`` name the mover, asking ``core.mover_at`` only at a
-    zero gap.  ``best``, the value search, screens the state it is given
-    and hands a memo miss to ``expand``, whose loop screens each child
-    the same way and recurses into ``expand`` only on a miss.
-    ``reaches``, the decision against a target weight, runs a loop built
-    the same way with a window at the target.  ``expand`` records each
-    stored state's canonical move in ``canon``, under the memo key, and
-    ``canonical`` returns it with the mover and the child state.
-    Everywhere else one expander, ``moves``, builds the children: it
+    masks; ``state`` and ``opening`` build one.  ``best`` first decides
+    a state where one player holds ``half``, ``ceil(total / 2)``, or
+    more: the other player takes the rest, so First ends with ``f`` or
+    with ``total - s``.  Those states are never stored, so ``memo``
+    holds First's final total for undecided states only, and ``canon``,
+    under the same keys, each one's canonical move.  ``best`` hands a
+    memo miss to ``expand``, which ``__init__`` builds once over those
+    tables with ``_expander``; ``reaches`` builds one per call over a
+    table of its own.  Everywhere else ``moves`` builds the children: it
     takes the mover from ``core.mover_at`` and lists every legal move
-    with its child state.  ``optimal`` keeps each move whose child keeps
-    the state's value.  ``state`` and ``opening`` build a state, and per
-    opening ``line``, ``replies`` and ``forest`` read canonical play,
-    Second's replies and the scenario forest, which expands First's
-    states by ``moves`` and Second's by ``canonical``.
+    with its child state.  Per opening, ``line`` reads canonical play
+    and ``forest`` the scenario forest, which expands First's states by
+    ``moves`` and Second's by ``canonical``.
 
-    ``expand`` is not a method: ``__init__`` builds it once per search
-    with ``_expander``, as a closure over the search's constants and its
-    ``memo`` and ``canon``, so the loop reads them without attribute
-    loads; ``reaches`` builds one per call the same way.  It is called
-    as ``expand(expand, ...)`` and recurses through that first
-    parameter: a closure cell that held the function would make a
-    cycle, which keeps every table alive until the cyclic collector
-    runs.  The search refers to the function and the function never to
-    the search, so a finished search is freed by reference counting.
-
-    ``best`` takes the search state like every other method and first
-    decides a state where one player holds ``half``, ``ceil(total / 2)``,
-    or more: the other player takes the rest, so First ends with ``f``
-    or with ``total - s``.  Those states are never stored, so the memo
-    holds only undecided states.  It memoizes First's final total, and
-    ``canon`` holds, under the same keys, the lowest-id move that keeps
-    it: the mover loops go in increasing vertex id, keep a move only on
-    a strict gain and, in ``best``, never stop early.  Play from a state
-    depends only on the taken set and the gap ``d = f - s``, so the
-    one-int key ``(d << n) | taken`` merges states that split one taken
-    set differently with equal totals.  That key is used only while it fits one 30-bit CPython
-    digit, ``total_weight < 2**(30 - n)``, decided once per search.
-    Heavier weights seldom repeat a gap, so there the key would merge
-    little and cost a multi-digit int; such searches keep the finer pair
-    key ``(fm << n) | sm``.  A child's key is its parent's plus the
-    moved vertex's delta, kept per search in ``first_delta`` and
+    Play from a state depends only on the taken set and the gap
+    ``d = f - s``, so the one-int key ``(d << n) | taken`` merges states
+    that split one taken set differently with equal totals.  That key
+    is used only while it fits one 30-bit CPython digit,
+    ``total_weight < 2**(30 - n)``, decided once per search.  Heavier
+    weights seldom repeat a gap, so there the key would merge little and
+    cost a multi-digit int; such searches keep the finer pair key
+    ``(fm << n) | sm``.  A child's key is its parent's plus the moved
+    vertex's delta, kept per search in ``first_delta`` and
     ``second_delta``: ``(d << n) | taken == d * 2**n + taken`` for
     either sign of ``d``, so taking ``v`` adds ``(w[v] << n) + (1 << v)``
     to the gap key for First and ``(1 << v) - (w[v] << n)`` for Second,
@@ -147,8 +123,6 @@ class _Search:
     states that share a key share their totals and their final total.
     With the taken set, the totals fix the legal moves, the mover and
     every child's key, so those states share their canonical move too.
-    ``reaches`` stores, under the same keys, values that are exact only
-    relative to its target, in a table of its own.
 
     Construction refuses a policy that is not a ``TiePolicy`` with
     TypeError and an instance above ``SOLVE_VERTEX_CAP``, so every view
@@ -259,15 +233,6 @@ class _Search:
             found.append((v, child))
         return who, found
 
-    def optimal(self, fm: int, sm: int, f: int, s: int, reach: int):
-        """``moves`` narrowed to the mover's value-optimal moves, lowest
-        vertex id first, the canonical one for both sides.  The game is
-        zero-sum, so a move is optimal exactly when its child keeps the
-        state's value."""
-        who, legal = self.moves(fm, sm, f, s, reach)
-        keep = self.best(fm, sm, f, s, reach)
-        return who, [move for move in legal if self.best(*move[1]) == keep]
-
     def canonical(self, fm: int, sm: int, f: int, s: int, reach: int):
         """``(mover, (vertex, child state))`` of the canonical move at a
         nonterminal state: the lowest-id move whose child keeps the
@@ -306,14 +271,6 @@ class _Search:
             who, (v, state) = self.canonical(*state)
             log.append((who, v))
         return tuple(log)
-
-    def replies(self, start: int) -> tuple[int, ...]:
-        """Second's value-optimal replies to the opening ``start``, in
-        increasing vertex id."""
-        if self.shift < 2:
-            raise ValueError("responses need at least two vertices")
-        _who, found = self.optimal(*self.opening(start))
-        return tuple(v for v, _child in found)
 
     def forest(self) -> tuple[ForestNode, ...]:
         """The scenario forest's nodes, where First tries every legal move
@@ -358,9 +315,17 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
     raises on a tied final split only when the half rule decides it,
     not when the target does.
 
+    The mover loops go in increasing vertex id and keep a move only on
+    a strict gain, so with no early stop the stored move is the
+    lowest-id one that keeps the value, the canonical move.
+
     It closes over those tables and constants, never over the search,
-    and recurses through its first parameter, so it forms no reference
-    cycle (see ``_Search``)."""
+    so the loop reads them without attribute loads.  It is called as
+    ``expand(expand, ...)`` and recurses through that first parameter: a
+    closure cell that held the function would make a cycle, which keeps
+    every table alive until the cyclic collector runs.  The search
+    refers to the function and the function never to the search, so a
+    finished search is freed by reference counting."""
     total, full = search.total, search.full
     weights, nbr = search.weights, search.nbr
     forbid, policy = search.forbid, search.policy
@@ -528,8 +493,15 @@ def optimal_responses(
     instance: Instance, policy: TiePolicy, start: int
 ) -> tuple[int, ...]:
     """All of Second's value-optimal first replies to opening ``start``,
-    in increasing vertex id."""
-    return _Search(instance, policy).replies(start)
+    in increasing vertex id: the moves whose child keeps the opening's
+    value, since the game is zero-sum.  Needs at least two vertices."""
+    search = _Search(instance, policy)
+    if instance.vertex_count < 2:
+        raise ValueError("responses need at least two vertices")
+    opening = search.opening(start)
+    keep = search.best(*opening)
+    _who, found = search.moves(*opening)
+    return tuple(v for v, child in found if search.best(*child) == keep)
 
 
 def canonical_strategy(instance: Instance, policy: TiePolicy):
@@ -554,14 +526,9 @@ def canonical_strategy(instance: Instance, policy: TiePolicy):
 
 
 def response_map(instance: Instance, policy: TiePolicy) -> dict[int, int]:
-    """Second's canonical reply to every opening: the lowest-id vertex
-    among the value-optimal responses.  Needs at least two vertices."""
+    """Second's canonical reply to every opening: the second move of the
+    opening's canonical line.  Needs at least two vertices."""
     search = _Search(instance, policy)
     if instance.vertex_count < 2:
         raise ValueError("responses need at least two vertices")
-    table = {}
-    for start in range(instance.vertex_count):
-        opening = search.opening(start)
-        search.best(*opening)
-        table[start] = search.canonical(*opening)[1][0]
-    return table
+    return {start: search.line(start)[1][1] for start in range(instance.vertex_count)}

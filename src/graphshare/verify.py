@@ -29,9 +29,10 @@ three, while ``solve``, the code under test, still runs under each
 policy.  ``general-third`` and ``tree-half`` ask only whether the value
 reaches a floor: ``value_at_least`` decides that, and ``solve`` runs
 only on a failed floor, for the exact value its failure reports.
-``mutual-edge`` builds one forbid search per instance: it solves an
-opening's canonical reply only when its scan of the edges first needs
-it, and reads both lines of the mutual edge from the same memo.
+``mutual-edge`` builds one forbid search per instance: it walks an
+opening's canonical line only when its scan of the edges first needs
+the opening's reply, the line's second move, and reads the mutual
+edge's split from the same two lines.
 
 ``SuiteReport.render`` deliberately omits the wall time so that repeated
 runs with equal seeds produce byte-identical reports.
@@ -238,16 +239,16 @@ def _check_tree_half(instance: Instance) -> _Claims:
 
 
 def _check_mutual_edge(instance: Instance) -> _Claims:
-    # One forbid search per instance: an opening's canonical reply is
-    # solved when the edge scan first asks for it, and both lines read
-    # the same memo.
+    # One forbid search per instance: an opening's canonical line is
+    # walked when the edge scan first asks for its reply, the line's
+    # second move, and the mutual edge's split reads the same two lines.
     search = _Search(instance, TiePolicy.FORBID)
-    replies: dict[int, int] = {}
+    lines: dict[int, tuple[tuple[Player, int], ...]] = {}
 
     def reply(v: int) -> int:
-        if v not in replies:
-            replies[v] = search.replies(v)[0]
-        return replies[v]
+        if v not in lines:
+            lines[v] = search.line(v)
+        return lines[v][1][1]
 
     pairs = ((a, b) for a, b in instance.edges if reply(a) == b and reply(b) == a)
     mutual = next(pairs, None)
@@ -260,8 +261,8 @@ def _check_mutual_edge(instance: Instance) -> _Claims:
         return
     a, b = mutual
     total = instance.total_weight
-    first_at_a = _first_weight(instance, search.line(a))
-    first_at_b = _first_weight(instance, search.line(b))
+    first_at_a = _first_weight(instance, lines[a])
+    first_at_b = _first_weight(instance, lines[b])
     if first_at_a != total - first_at_b:
         yield (
             f"w(F|open {a}) = w(S|open {b}) on mutual edge {a}-{b}",

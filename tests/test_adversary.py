@@ -92,7 +92,7 @@ class TestGraphShape:
 
     def test_tree_shape_counts(self):
         assert len(list(tree_shapes(1))) == 1
-        assert len(list(tree_shapes(2))) == 1
+        assert list(tree_shapes(2)) == [GraphShape.single_edge()]
         assert len(list(tree_shapes(4))) == 2
         assert len(list(tree_shapes(7))) == 11
 

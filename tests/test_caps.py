@@ -32,7 +32,7 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the vertex cap was checked")
 
-    for name in ("state", "opening", "best", "moves", "optimal", "forest"):
+    for name in ("state", "opening", "best", "moves", "line", "forest"):
         monkeypatch.setattr(_Search, name, refuse)
     monkeypatch.setattr(generators, "_prufer_edges", refuse)
     monkeypatch.setattr(oracle, "_adjacency", refuse)

@@ -253,6 +253,7 @@ class TestVerifyCommand:
             "weight_max=3",
             "alternate_iters=0",
             "vertices=0",
+            "threshold=1,2",
         ],
     )
     def test_unparsable_param_value(self, param, capsys):
@@ -261,6 +262,7 @@ class TestVerifyCommand:
             "m_values": "cycle7-family",
             "alternate_iters": "tie-tree-search",
             "vertices": "tie-tree-search",
+            "threshold": "tie-tree-search",
         }.get(key, "general-third")
         code = main(["verify", "--suite", suite, "--param", param])
         assert code == EXIT_USAGE

@@ -115,6 +115,26 @@ class TestClosedForms:
             solve(path([1, 1, 1, 1]), TiePolicy.FORBID)
 
 
+class TestValueFrom:
+    def test_second_holding_exactly_half_is_a_tie_only_under_forbid(self):
+        # Second holds 2 of 4 and First takes the rest: a tied final split
+        inst = path([1, 2, 1])
+        state = GameState(0b001, 0b010)
+        with pytest.raises(TieEncounteredError) as raised:
+            value_from(inst, TiePolicy.FORBID, state)
+        assert (raised.value.first_mask, raised.value.second_mask) == (0b101, 0b010)
+        for policy in (TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES):
+            assert value_from(inst, policy, state) == Fraction(1, 2)
+
+    def test_masks_outside_the_instance_are_refused(self):
+        inst = path([1, 2, 1])
+        outside = "^state references vertices outside the instance$"
+        for state in (GameState(1 << 3, 0), GameState(1, 1 << 5)):
+            for policy in ALL_POLICIES:
+                with pytest.raises(ValueError, match=outside):
+                    value_from(inst, policy, state)
+
+
 class TestSizeCap:
     def test_solve_rejects_19_vertices(self):
         big = path([1] * 19)
@@ -313,9 +333,9 @@ def test_views_agree_on_tied_play(inst, policy):
 @settings(max_examples=60, deadline=None)
 def test_optimal_moves_are_the_value_keeping_moves(inst):
     # on every canonical line and at every forest node, the search's
-    # moves are the legal moves and its optimal moves those whose child
-    # keeps the state's value, in vertex order, with their children, for
-    # either mover
+    # moves are the legal moves in vertex order, with their children,
+    # and its canonical move the lowest-id one whose child keeps the
+    # state's value, for either mover
     for policy in ALL_POLICIES:
         try:
             report = solve(inst, policy)
@@ -334,8 +354,7 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
         search = _Search(inst, policy)
         for state in states:
             here = search.state(state.first_mask, state.second_mask)
-            who, found = search.optimal(*here)
-            assert who is mover(inst, state, policy)
+            who = mover(inst, state, policy)
             value = value_from(inst, policy, state)
             legal, expected = [], []
             for v in sorted(legal_moves(inst, state)):
@@ -345,7 +364,8 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
                 if value_from(inst, policy, child) == value:
                     expected.append(move)
             assert search.moves(*here) == (who, legal)
-            assert found == expected
+            search.best(*here)
+            assert search.canonical(*here) == (who, expected[0])
 
 
 def _lowest_value_keeping_move(inst, policy, state):

@@ -109,6 +109,58 @@ def test_cycle7_fails_on_a_value_below_the_bound(monkeypatch):
     assert failure.actual == f"value={low.numerator}/{low.denominator}"
 
 
+CYCLE7_REPLY_FAILING = """\
+suite=cycle7-family
+seed=1
+cases=1
+cycle7.M1000.value=1069/3095
+cycle7.M1000.bound=1069/3095
+failure.0.case=0000-M1000
+failure.0.instance=7 7\\n1000 1015 17 7 12 1026 18\\n0 1\\n1 2\\n2 3\\n3 4\\n4 5\\n5 6\\n0 6\\n
+failure.0.expected=vertex 4 among optimal replies to opening 3
+failure.0.actual=replies=[0]
+suite=cycle7-family status=FAIL cases=1 failures=1
+"""
+
+
+def test_cycle7_reply_failure_render_is_pinned(monkeypatch):
+    # the value matches its bound, so the reply check is the only failure
+    monkeypatch.setattr(verify, "optimal_responses", lambda *args: (0,))
+    report = run_suite("cycle7-family", seed=1, size_params={"m_values": (1000,)})
+    assert report.render() == CYCLE7_REPLY_FAILING
+
+
+EDGE_FAMILY_FAILING = """\
+suite=edge-family
+seed=1
+cases=2
+failure.0.case=0001-edge
+failure.0.instance=2 1\\n1 2\\n0 1\\n
+failure.0.expected=value == 2/3
+failure.0.actual=value=0/1
+failure.1.case=0002-edge
+failure.1.instance=2 1\\n2 3\\n0 1\\n
+failure.1.expected=value == 3/5
+failure.1.actual=value=0/1
+suite=edge-family status=FAIL cases=2 failures=2
+"""
+
+
+def test_edge_family_failure_render_is_pinned(monkeypatch):
+    _failing_library(monkeypatch)
+    report = run_suite("edge-family", seed=1, size_params={"k_max": 2})
+    assert report.render() == EDGE_FAMILY_FAILING
+
+
+def test_fraction_parameter_of_another_type_is_refused():
+    with pytest.raises(GraphShareError) as refused:
+        run_suite("tie-tree-search", size_params={"threshold": (1, 2)})
+    assert str(refused.value) == (
+        "parameter 'threshold' of suite 'tie-tree-search' must be an int "
+        "or a fraction, got (1, 2)"
+    )
+
+
 def test_tie_tree_search_failure_is_reproducible():
     # five-vertex trees cannot reach the default threshold, so the suite
     # must fail and hand back the best instance it found
@@ -149,9 +201,9 @@ def _failing_library(monkeypatch) -> list:
         seen.append(instance)
         return dataclasses.replace(real_solve(instance, policy), value=Fraction(0))
 
-    def self_replies(search, start):
+    def self_reply_line(search, start):
         seen.append(search.instance)
-        return (start,)
+        return ((Player.FIRST, start), (Player.SECOND, start))
 
     def wrong_oracle(instance, policy, start):
         return Fraction(-1)
@@ -159,7 +211,7 @@ def _failing_library(monkeypatch) -> list:
     monkeypatch.setattr(verify, "value_at_least", lambda *args: False)
     monkeypatch.setattr(verify, "solve", zero_solve)
     monkeypatch.setattr(verify, "brute_value", wrong_oracle)
-    monkeypatch.setattr(_Search, "replies", self_replies)
+    monkeypatch.setattr(_Search, "line", self_reply_line)
     return seen
 
 
@@ -422,12 +474,12 @@ def test_lazy_mutual_edge_scan_matches_the_public_views(n, seed, weight_max):
     ]
     asked = []
     lines = []
-    real_replies = _Search.replies
+    real_line = _Search.line
     real_first_weight = verify._first_weight
 
-    def recorded_replies(search, start):
-        found = real_replies(search, start)
-        asked.append((start, found[0]))
+    def recorded_line(search, start):
+        found = real_line(search, start)
+        asked.append((start, found[1][1]))
         return found
 
     def recorded_first_weight(instance, line):
@@ -436,10 +488,10 @@ def test_lazy_mutual_edge_scan_matches_the_public_views(n, seed, weight_max):
         return weight
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Search, "replies", recorded_replies)
+        patch.setattr(_Search, "line", recorded_line)
         patch.setattr(verify, "_first_weight", recorded_first_weight)
         assert list(verify._check_mutual_edge(instance)) == []
-    # each reply is solved once, in the order the scan first needs it
+    # each line is walked once, in the order the scan first needs its reply
     assert asked == [(v, replies[v]) for v in dict.fromkeys(needed)]
     assert lines == [
         ((Player.FIRST, v), weight) for v, weight in zip(edge, expected_weights)
