@@ -2,8 +2,8 @@
 """Run every verification suite and print the reports.
 
 --quick shrinks each suite to a smoke-test size; the default runs the
-full sizes the acceptance tests use: 4.7-6.2 s of wall time on a
-2-vCPU host with Python 3.11, 2.9-4.2 s of it in tie-tree-search (six
+full sizes the acceptance tests use: 2.8-3.3 s of wall time on a
+2-vCPU host with Python 3.11, 1.6-1.7 s of it in tie-tree-search (five
 runs; the spread is the host's).  Runs from a checkout without an
 install: the repository's ``src`` comes first on the import path.
 """

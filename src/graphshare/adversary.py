@@ -43,6 +43,7 @@ from .core import (
     TieEncounteredError,
     VertexCap,
     bits,
+    check_seed,
 )
 from .generators import gen_cycle7_family
 from .simplex import _over_lcm, solve_lp
@@ -423,6 +424,7 @@ def hill_climb(
     restarts from a perturbed copy of the incumbent.  Deterministic in
     (shape, policy, seed, iters).
     """
+    check_seed(seed)
     n = shape.vertex_count
     HILL_VERTEX_CAP.check(n)
     if iters < 1:

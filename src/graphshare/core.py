@@ -123,6 +123,17 @@ def check_policy(policy: TiePolicy) -> None:
         raise TypeError(f"tie policy {policy!r} is not a TiePolicy")
 
 
+def check_seed(seed: int) -> None:
+    """Raise TypeError unless ``operator.index`` accepts ``seed``.  A
+    seeded entry promises results that depend only on its arguments,
+    but ``random.Random(None)`` seeds from the operating system, and a
+    float or a string seeds a stream that no int names."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed {seed!r} is not an int") from None
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

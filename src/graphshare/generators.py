@@ -11,7 +11,14 @@ import heapq
 import random
 from typing import Callable
 
-from .core import MAX_VERTICES, GraphShareError, Instance, TiePolicy, TieEncounteredError
+from .core import (
+    MAX_VERTICES,
+    GraphShareError,
+    Instance,
+    TiePolicy,
+    TieEncounteredError,
+    check_seed,
+)
 from .solve import solve
 
 CYCLE7_MIN_M = 96
@@ -84,6 +91,7 @@ def gen_random_connected(
 ) -> Instance:
     """Seeded connected graph: a random spanning tree plus ``extra_edges``
     distinct non-tree edges sampled uniformly."""
+    check_seed(seed)
     _check_weight_args(n, weight_max)
     cap = n * (n - 1) // 2 - (n - 1)
     if not 0 <= extra_edges <= cap:

@@ -25,8 +25,8 @@ One engine, ``_Search``, serves every view, and all of them share one
 memo per search; no other module builds a search state.  It has one
 search loop, ``_expander``'s: ``best``, the value search, runs it
 exactly, and ``reaches``, the decision "does First finish with at least
-T?", runs it windowed at T, so most states are skipped (the null window
-of MTD(f), Plaat et al. 1996).  ``value_at_least`` is the view over
+T?", runs it in the null window ``(T - 1, T)`` of MTD(f) (Plaat et al.
+1996), so most states are skipped.  ``value_at_least`` is the view over
 ``reaches``, for checks that only compare the value with a floor.
 
 As the value search searches a state it records the state's canonical
@@ -57,6 +57,7 @@ from .core import (
     TiePolicy,
     TieEncounteredError,
     VertexCap,
+    bits,
     check_policy,
     mover_at,
     validate_state,
@@ -88,9 +89,10 @@ class _Search:
     across calls), and the only code outside the oracle that decides
     who moves or builds a child state.
 
-    A search state is the tuple ``(fm, sm, f, s, reach)``: both holding
-    masks, their totals and the union of the taken vertices' neighbor
-    masks; ``state`` and ``opening`` build one.  ``best`` first decides
+    A search state is the tuple ``(fm, sm, f, s, reach, key)``: both
+    holding masks, their totals, the union of the taken vertices'
+    neighbor masks and the memo key (below); ``state`` and ``opening``
+    build one.  ``best`` first decides
     a state where one player holds ``half``, ``ceil(total / 2)``, or
     more: the other player takes the rest, so First ends with ``f`` or
     with ``total - s``.  Those states are never stored, so ``memo``
@@ -105,18 +107,19 @@ class _Search:
     ``moves`` and Second's by ``canonical``.
 
     Play from a state depends only on the taken set and the gap
-    ``d = f - s``, so the one-int key ``(d << n) | taken`` merges states
-    that split one taken set differently with equal totals.  That key
-    is used only while it fits one 30-bit CPython digit,
+    ``d = f - s``, so the one-int gap key ``d * 2**n + taken`` merges
+    states that split one taken set differently with equal totals.
+    That key is used only while it fits one 30-bit CPython digit,
     ``total_weight < 2**(30 - n)``, decided once per search.  Heavier
     weights seldom repeat a gap, so there the key would merge little and
     cost a multi-digit int; such searches keep the finer pair key
-    ``(fm << n) | sm``.  A child's key is its parent's plus the moved
-    vertex's delta, kept per search in ``first_delta`` and
-    ``second_delta``: ``(d << n) | taken == d * 2**n + taken`` for
-    either sign of ``d``, so taking ``v`` adds ``(w[v] << n) + (1 << v)``
-    to the gap key for First and ``(1 << v) - (w[v] << n)`` for Second,
-    and ``1 << (v + n)`` or ``1 << v`` to the pair key.
+    ``fm * 2**n + sm``.  ``__init__`` makes that choice once, as each
+    vertex's key delta: ``state`` sums ``first_delta`` over First's
+    vertices and ``second_delta`` over Second's, and a child adds the
+    moved vertex's delta to its parent's key.  Taking ``v`` adds
+    ``(w[v] << n) + (1 << v)`` to the gap key for First and
+    ``(1 << v) - (w[v] << n)`` for Second, and ``1 << (v + n)`` or
+    ``1 << v`` to the pair key.
 
     Either key fixes ``f`` and ``s``: the pair key names both holdings,
     and the gap key gives ``f + s = w(taken)`` and ``f - s = d``.  So
@@ -156,17 +159,18 @@ class _Search:
         else:
             self.first_delta = _BITS[n : 2 * n]
             self.second_delta = _BITS[:n]
-        self.expand = _expander(
-            self, self.memo, self.canon, self.half, self.half, self.total + 1, -1
-        )
+        self.expand = _expander(self, self.memo, self.canon, -1, self.total + 1)
 
-    def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int]:
+    def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int, int]:
         """The search state of the holdings ``fm`` and ``sm``."""
-        weight_of = self.instance.weight_of
-        return fm, sm, weight_of(fm), weight_of(sm), self.instance.reach_mask(fm | sm)
+        inst = self.instance
+        first, second = self.first_delta, self.second_delta
+        key = sum(first[v] for v in bits(fm)) + sum(second[v] for v in bits(sm))
+        f, s = inst.weight_of(fm), inst.weight_of(sm)
+        return fm, sm, f, s, inst.reach_mask(fm | sm), key
 
-    def best(self, fm: int, sm: int, f: int, s: int, reach: int) -> int:
-        """Final First total under optimal play from (fm, sm)."""
+    def best(self, fm: int, sm: int, f: int, s: int, reach: int, key: int) -> int:
+        """Final First total under optimal play from the state."""
         # a half-holder never moves again: the other player takes the rest
         if f >= self.half:
             if self.forbid and 2 * f == self.total:
@@ -176,10 +180,6 @@ class _Search:
             if self.forbid and 2 * s == self.total:
                 raise TieEncounteredError(self.full & ~sm, sm)
             return self.total - s
-        if self.gap_key:
-            key = ((f - s) << self.shift) | fm | sm
-        else:
-            key = (fm << self.shift) | sm
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -188,30 +188,24 @@ class _Search:
 
     def reaches(self, target: int) -> bool:
         """Whether First finishes with at least ``target`` weight under
-        optimal play: the value search from the empty state, windowed at
-        the target.
-
-        A player is decided once holding ``half`` or once the target is
-        settled: First at ``target``, Second past ``total - target``.  A
-        mover's loop stops at the first child that settles the target.
-        So each stored value is exact only relative to the target: it
-        is at least ``target`` iff the state's value is.  Each call fills
-        a fresh ``verdicts`` table under ``best``'s key.  Under forbid an
-        expanded tied state raises TieEncounteredError, and so does a
-        tied final split that the half rule decides; but the window
-        skips states, so a tie that ``solve`` would meet can go unseen.
-        """
+        optimal play: the value search from the empty state in the null
+        window ``(target - 1, target)``, so each value it stores, in a
+        fresh ``verdicts`` table, is at least ``target`` iff the state's
+        value is.  Under forbid an expanded tied state raises
+        TieEncounteredError, and so does a tied final split that the
+        half rule decides; but the window skips states, so a tie that
+        ``solve`` would meet can go unseen.  A target outside
+        ``1..total`` is answered without a search, since above the total
+        an opening holding exactly half would raise instead."""
         self.verdicts = verdicts = {}
         if target <= 0:
             return True
-        total, half = self.total, self.half
-        if target > total:
+        if target > self.total:
             return False
-        cut_f, cut_s = min(half, target), min(half, total - target + 1)
-        expand = _expander(self, verdicts, {}, cut_f, cut_s, target, target - 1)
+        expand = _expander(self, verdicts, {}, target - 1, target)
         return expand(expand, 0, 0, 0, 0, 0, 0) >= target
 
-    def moves(self, fm: int, sm: int, f: int, s: int, reach: int):
+    def moves(self, fm: int, sm: int, f: int, s: int, reach: int, key: int):
         """``(mover, moves)`` at a nonterminal state: the mover from
         ``core.mover_at``, and ``(vertex, child state)`` for each of its
         legal moves, lowest vertex id first."""
@@ -221,45 +215,46 @@ class _Search:
         m = self.full if taken == 0 else reach & ~taken
         weights = self.weights
         nbr = self.nbr
+        delta = self.first_delta if first_moves else self.second_delta
         found = []
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
+            k = key + delta[v]
             if first_moves:
-                child = (fm | low, sm, f + weights[v], s, reach | nbr[v])
+                child = (fm | low, sm, f + weights[v], s, reach | nbr[v], k)
             else:
-                child = (fm, sm | low, f, s + weights[v], reach | nbr[v])
+                child = (fm, sm | low, f, s + weights[v], reach | nbr[v], k)
             found.append((v, child))
         return who, found
 
-    def canonical(self, fm: int, sm: int, f: int, s: int, reach: int):
+    def canonical(self, fm: int, sm: int, f: int, s: int, reach: int, key: int):
         """``(mover, (vertex, child state))`` of the canonical move at a
         nonterminal state: the lowest-id move whose child keeps the
         state's value, for either mover.  ``best`` recorded it when it
         searched the state, so call ``best`` on the state first (a memo
         hit on any state below a searched one).  At a decided state
         every move keeps the value, so it is the lowest-id legal move."""
-        taken = fm | sm
         if f >= self.half or s >= self.half:
-            m = reach & ~taken
+            m = reach & ~(fm | sm)
             v = (m & -m).bit_length() - 1
-        elif self.gap_key:
-            v = self.canon[((f - s) << self.shift) | taken]
         else:
-            v = self.canon[(fm << self.shift) | sm]
+            v = self.canon[key]
         low = 1 << v
         w = self.weights[v]
         reach |= self.nbr[v]
         if f < s or (f == s and mover_at(fm, sm, f, s, self.policy) is FIRST):
-            return FIRST, (v, (fm | low, sm, f + w, s, reach))
-        return SECOND, (v, (fm, sm | low, f, s + w, reach))
+            key += self.first_delta[v]
+            return FIRST, (v, (fm | low, sm, f + w, s, reach, key))
+        key += self.second_delta[v]
+        return SECOND, (v, (fm, sm | low, f, s + w, reach, key))
 
-    def opening(self, v: int) -> tuple[int, int, int, int, int]:
+    def opening(self, v: int) -> tuple[int, int, int, int, int, int]:
         """The search state after First opens at ``v``."""
         if not 0 <= v < self.shift:
             raise ValueError(f"start vertex {v} does not exist")
-        return 1 << v, 0, self.weights[v], 0, self.nbr[v]
+        return 1 << v, 0, self.weights[v], 0, self.nbr[v], self.first_delta[v]
 
     def line(self, start: int) -> tuple[tuple[Player, int], ...]:
         """Canonical play after First opens at ``start``, the opening
@@ -280,7 +275,7 @@ class _Search:
         stack = [self.opening(v) for v in reversed(range(self.shift))]
         while stack:
             state = stack.pop()
-            fm, sm, f, s, _reach = state
+            fm, sm, f, s, _reach, _key = state
             if (fm, sm) in nodes:
                 continue
             if fm | sm == self.full:
@@ -298,7 +293,7 @@ class _Search:
         return tuple(nodes.values())
 
 
-def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
+def _expander(search: _Search, memo, canon, lo: int, hi: int):
     """A search's ``expand``: the value of an undecided state missing
     from ``memo``, whose key is ``key``.  The mover tries each legal
     move and keeps the best child, which it stores under ``key`` in
@@ -306,20 +301,21 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
     loop, first decided, then a memo hit, so only a miss recurses; its
     key is ``key`` plus the moved vertex's delta.
 
-    Four constants set the search.  First is decided once holding
-    ``cut_f`` and Second once holding ``cut_s``, and a mover's loop
-    stops at the first child whose value reaches ``stop_f`` (First) or
-    ``stop_s`` (Second).  ``best`` uses ``half``, ``half``,
-    ``total + 1`` and ``-1``, so no loop stops early and every value is
-    exact; ``reaches`` sets them at its target.  Under forbid a cut
+    One window ``(lo, hi)`` sets the search: clamped to ``[lo, hi]``,
+    each stored value equals the state's value.  So First is decided
+    once holding ``half`` or ``hi`` (``cut_f``) and Second once holding
+    ``half`` or ``total - lo`` (``cut_s``), and a mover's loop stops at
+    the first child that leaves the window on its side.  ``best`` uses
+    ``(-1, total + 1)``, which holds every value, so every value is
+    exact; ``reaches(T)`` uses ``(T - 1, T)``.  Under forbid a cut
     raises on a tied final split only when the half rule decides it,
-    not when the target does.
+    not when the window does.
 
     The mover loops go in increasing vertex id and keep a move only on
     a strict gain, so with no early stop the stored move is the
     lowest-id one that keeps the value, the canonical move.
 
-    It closes over those tables and constants, never over the search,
+    It closes over those tables and the window, never over the search,
     so the loop reads them without attribute loads.  It is called as
     ``expand(expand, ...)`` and recurses through that first parameter: a
     closure cell that held the function would make a cycle, which keeps
@@ -327,6 +323,7 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
     refers to the function and the function never to the search, so a
     finished search is freed by reference counting."""
     total, full = search.total, search.full
+    cut_f, cut_s = min(search.half, hi), min(search.half, total - lo)
     weights, nbr = search.weights, search.nbr
     forbid, policy = search.forbid, search.policy
     first_delta, second_delta = search.first_delta, search.second_delta
@@ -345,7 +342,7 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
                 v = low.bit_length() - 1
                 c = f + weights[v]
                 if c >= cut_f:
-                    if forbid and 2 * c == total and c < stop_f:
+                    if forbid and 2 * c == total and c < hi:
                         raise TieEncounteredError(fm | low, full & ~(fm | low))
                     r = c
                 else:
@@ -356,7 +353,7 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
                 if r > best_val:
                     best_val = r
                     pick = v
-                    if r >= stop_f:
+                    if r >= hi:
                         break
         else:
             best_val = total  # no final total exceeds the total
@@ -366,7 +363,7 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
                 v = low.bit_length() - 1
                 c = s + weights[v]
                 if c >= cut_s:
-                    if forbid and 2 * c == total and total - c > stop_s:
+                    if forbid and 2 * c == total and total - c > lo:
                         raise TieEncounteredError(full & ~(sm | low), sm | low)
                     r = total - c
                 else:
@@ -377,7 +374,7 @@ def _expander(search: _Search, memo, canon, cut_f, cut_s, stop_f, stop_s):
                 if r < best_val:
                     best_val = r
                     pick = v
-                    if r <= stop_s:
+                    if r <= lo:
                         break
         memo[key] = best_val
         canon[key] = pick

@@ -33,7 +33,11 @@ from graphshare.adversary import (
     extract_forest,
     hill_climb,
 )
-from graphshare.generators import gen_cycle7_family, gen_random_connected
+from graphshare.generators import (
+    gen_cycle7_family,
+    gen_random_connected,
+    gen_random_tree,
+)
 from graphshare.oracle import audit_lines, brute_value
 from graphshare.solve import (
     _Search,
@@ -46,6 +50,7 @@ from graphshare.solve import (
     value_at_least,
     value_from,
 )
+from graphshare.verify import run_suite
 
 from conftest import instances, permute_instance, tree_instances
 
@@ -329,13 +334,28 @@ def test_views_agree_on_tied_play(inst, policy):
         assert (node.first_mask, node.second_mask | 1 << reply) in states
 
 
-@given(inst=instances(max_n=7, weight_max=6))
+def _closed_form_key(search, state):
+    """The memo key of a search state, written from the width rule: the
+    gap and the taken set, or both holdings."""
+    fm, sm, f, s, _reach, _key = state
+    n = search.instance.vertex_count
+    if search.gap_key:
+        return ((f - s) << n) | fm | sm
+    return (fm << n) | sm
+
+
+@given(
+    inst=st.one_of(
+        instances(max_n=7, weight_max=6), instances(max_n=7, weight_max=10**9)
+    )
+)
 @settings(max_examples=60, deadline=None)
 def test_optimal_moves_are_the_value_keeping_moves(inst):
     # on every canonical line and at every forest node, the search's
     # moves are the legal moves in vertex order, with their children,
     # and its canonical move the lowest-id one whose child keeps the
-    # state's value, for either mover
+    # state's value, for either mover; small weights take the gap key
+    # and large ones the pair key, and every state carries its key
     for policy in ALL_POLICIES:
         try:
             report = solve(inst, policy)
@@ -363,6 +383,9 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
                 legal.append(move)
                 if value_from(inst, policy, child) == value:
                     expected.append(move)
+            # moves and canonical must carry the keys that state() built
+            for carried in [here] + [child for _v, child in legal]:
+                assert carried[-1] == _closed_form_key(search, carried)
             assert search.moves(*here) == (who, legal)
             search.best(*here)
             assert search.canonical(*here) == (who, expected[0])
@@ -901,3 +924,22 @@ def test_a_policy_that_is_not_a_tie_policy_is_refused(name, policy):
     POLICY_ENTRIES[name](TiePolicy.FIRST_MOVES)
     with pytest.raises(TypeError, match=f"tie policy '{policy}' is not a TiePolicy"):
         POLICY_ENTRIES[name](policy)
+
+
+SEED_ENTRIES = {
+    "hill_climb": lambda seed: hill_climb(P3_SHAPE, TiePolicy.FIRST_MOVES, seed, 1),
+    "run_suite": lambda seed: run_suite("edge-family", seed=seed),
+    "gen_random_tree": lambda seed: gen_random_tree(6, seed, 10**9),
+    "gen_random_connected": lambda seed: gen_random_connected(6, 1, seed, 10**9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_ENTRIES))
+@pytest.mark.parametrize("seed", [None, 1.5, "7"])
+def test_a_seed_that_is_not_an_int_is_refused(name, seed):
+    # random.Random(None) seeds from the operating system, so two calls
+    # with equal arguments could differ; a float or a string seeds a
+    # stream that no int seed names
+    SEED_ENTRIES[name](7)
+    with pytest.raises(TypeError, match=f"seed {seed!r} is not an int"):
+        SEED_ENTRIES[name](seed)
