@@ -2,10 +2,11 @@
 """Run every verification suite and print the reports.
 
 --quick shrinks each suite to a smoke-test size; the default runs the
-full sizes the acceptance tests use: 2.8-3.3 s of wall time on a
-2-vCPU host with Python 3.11, 1.6-1.7 s of it in tie-tree-search (five
-runs; the spread is the host's).  Runs from a checkout without an
-install: the repository's ``src`` comes first on the import path.
+full sizes the acceptance tests use: 2.5-4.9 s of wall time on a
+shared 2-vCPU host with Python 3.11, 1.4-2.9 s of it in tie-tree-search
+(twenty runs; the spread is the other load on the host).  Runs from a
+checkout without an install: the repository's ``src`` comes first on
+the import path.
 """
 
 from __future__ import annotations

@@ -24,10 +24,11 @@ exactly tied final split.
 One engine, ``_Search``, serves every view, and all of them share one
 memo per search; no other module builds a search state.  It has one
 search loop, ``_expander``'s: ``best``, the value search, runs it
-exactly, and ``reaches``, the decision "does First finish with at least
-T?", runs it in the null window ``(T - 1, T)`` of MTD(f) (Plaat et al.
-1996), so most states are skipped.  ``value_at_least`` is the view over
-``reaches``, for checks that only compare the value with a floor.
+exactly, and ``value_at_least``, the decision "does First finish with
+at least T?" for checks that only compare the value with a floor, runs
+it in the null window ``(T - 1, T)`` of MTD(f) (Plaat et al. 1996) over
+a table of its own, so most states are skipped, and with them some ties
+(see ``value_at_least``).
 
 As the value search searches a state it records the state's canonical
 move, the lowest-id move whose child keeps the value, and
@@ -92,18 +93,18 @@ class _Search:
     A search state is the tuple ``(fm, sm, f, s, reach, key)``: both
     holding masks, their totals, the union of the taken vertices'
     neighbor masks and the memo key (below); ``state`` and ``opening``
-    build one.  ``best`` first decides
-    a state where one player holds ``half``, ``ceil(total / 2)``, or
-    more: the other player takes the rest, so First ends with ``f`` or
-    with ``total - s``.  Those states are never stored, so ``memo``
-    holds First's final total for undecided states only, and ``canon``,
-    under the same keys, each one's canonical move.  ``best`` hands a
-    memo miss to ``expand``, which ``__init__`` builds once over those
-    tables with ``_expander``; ``reaches`` builds one per call over a
-    table of its own.  Everywhere else ``moves`` builds the children: it
-    takes the mover from ``core.mover_at`` and lists every legal move
-    with its child state.  Per opening, ``line`` reads canonical play
-    and ``forest`` the scenario forest, which expands First's states by
+    build one.  ``best`` first decides a state where one player holds
+    ``half``, ``ceil(total / 2)``, or more: the other player takes the
+    rest, so First ends with ``f`` or with ``total - s``.  Those states
+    are never stored, so ``memo`` holds First's final total for
+    undecided states only, and ``canon``, under the same keys, each
+    one's canonical move.  ``best`` hands a memo miss to ``expand``,
+    which ``__init__`` builds once over those tables with ``_expander``;
+    the floor decision ``value_at_least`` builds another over a fresh
+    table.  Everywhere else ``moves`` builds the children: it takes
+    the mover from ``core.mover_at`` and lists every legal move with its
+    child state.  Per opening, ``line`` reads canonical play and
+    ``forest`` the scenario forest, which expands First's states by
     ``moves`` and Second's by ``canonical``.
 
     Play from a state depends only on the taken set and the gap
@@ -185,25 +186,6 @@ class _Search:
             return hit
         expand = self.expand
         return expand(expand, fm, sm, f, s, reach, key)
-
-    def reaches(self, target: int) -> bool:
-        """Whether First finishes with at least ``target`` weight under
-        optimal play: the value search from the empty state in the null
-        window ``(target - 1, target)``, so each value it stores, in a
-        fresh ``verdicts`` table, is at least ``target`` iff the state's
-        value is.  Under forbid an expanded tied state raises
-        TieEncounteredError, and so does a tied final split that the
-        half rule decides; but the window skips states, so a tie that
-        ``solve`` would meet can go unseen.  A target outside
-        ``1..total`` is answered without a search, since above the total
-        an opening holding exactly half would raise instead."""
-        self.verdicts = verdicts = {}
-        if target <= 0:
-            return True
-        if target > self.total:
-            return False
-        expand = _expander(self, verdicts, {}, target - 1, target)
-        return expand(expand, 0, 0, 0, 0, 0, 0) >= target
 
     def moves(self, fm: int, sm: int, f: int, s: int, reach: int, key: int):
         """``(mover, moves)`` at a nonterminal state: the mover from
@@ -307,9 +289,10 @@ def _expander(search: _Search, memo, canon, lo: int, hi: int):
     ``half`` or ``total - lo`` (``cut_s``), and a mover's loop stops at
     the first child that leaves the window on its side.  ``best`` uses
     ``(-1, total + 1)``, which holds every value, so every value is
-    exact; ``reaches(T)`` uses ``(T - 1, T)``.  Under forbid a cut
-    raises on a tied final split only when the half rule decides it,
-    not when the window does.
+    exact; ``value_at_least`` uses ``(T - 1, T)`` for its target ``T``,
+    and its docstring says which ties that leaves unseen.  Under forbid
+    a cut raises on a tied final split only when the half rule decides
+    it, not when the window does.
 
     The mover loops go in increasing vertex id and keep a move only on
     a strict gain, so with no early stop the stored move is the
@@ -441,18 +424,30 @@ def value_at_least(
     instance: Instance, policy: TiePolicy, share: int | Fraction
 ) -> bool:
     """Whether the game value is at least ``share``: First finishes with
-    ``ceil(share * total)`` or more under optimal play.  Decided by
-    ``_Search.reaches``, the value search windowed at that target, which
-    visits far fewer states than ``solve``; under forbid it raises on
-    every tied state it expands and on a tied final split that half the
-    total decides, but not on one that the target decides, so its answer
-    stands for all three policies only where no tie is reachable.
-    ``share`` must be an int or a ``Fraction``: a float would be decided
-    at a rounded product, so it raises TypeError."""
+    ``T = ceil(share * total)`` or more under optimal play.  Decided by
+    the value search from the empty state in the null window
+    ``(T - 1, T)``, so each value it stores, in a table of its own, is
+    at least ``T`` iff the state's value is, and it visits far fewer
+    states than ``solve``.  Under forbid it raises TieEncounteredError
+    on every tied state it expands and on a tied final split that half
+    the total decides, but not on one that the target decides: the
+    window skips states, so a tie that ``solve`` would meet can go
+    unseen, and its answer stands for all three policies only where no
+    tie is reachable.  A ``T`` outside ``1..total`` is answered without
+    a search, since above the total an opening holding exactly half
+    would raise instead.  ``share`` must be an int or a ``Fraction``: a
+    float would be decided at a rounded product, so it raises
+    TypeError."""
     if not isinstance(share, (int, Fraction)):
         raise TypeError(f"share {share!r} is not an int or a Fraction")
     search = _Search(instance, policy)
-    return search.reaches(math.ceil(share * instance.total_weight))
+    target = math.ceil(share * search.total)
+    if target <= 0:
+        return True
+    if target > search.total:
+        return False
+    expand = _expander(search, {}, {}, target - 1, target)
+    return expand(expand, 0, 0, 0, 0, 0, 0) >= target
 
 
 def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveReport:

@@ -462,12 +462,17 @@ SUITE_NAMES = tuple(_SUITES)
 
 def _check_param(suite: str, key: str, value, default, cap: _Cap | None) -> None:
     """Reject an override whose type differs from its default's (an int
-    may stand for a Fraction), any size below 1, a ``max_vertices``
-    below 2 and a vertex count above the suite's cap."""
+    may stand for a Fraction), a share outside [0, 1], any size below 1,
+    a ``max_vertices`` below 2 and a vertex count above the suite's
+    cap."""
     prefix = f"parameter {key!r} of suite {suite!r} must be"
     if type(default) is Fraction:
         if type(value) not in (int, Fraction):
             raise GraphShareError(f"{prefix} an int or a fraction, got {value!r}")
+        # a share of First's total: outside [0, 1] every value passes or
+        # every value fails, whatever the search finds
+        if not 0 <= value <= 1:
+            raise GraphShareError(f"{prefix} between 0 and 1, got {value!r}")
         return
     sizes = value if type(value) is tuple else (value,)
     if type(value) is not type(default) or any(type(n) is not int for n in sizes):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from importlib import import_module
 
+import pytest
 from hypothesis import strategies as st
 
 from graphshare.core import Instance
@@ -82,6 +84,28 @@ def permute_instance(instance: Instance, perm: list[int]) -> Instance:
         sorted(tuple(sorted((perm[u], perm[v]))) for u, v in instance.edges)
     )
     return Instance(weights=tuple(weights), edges=edges)
+
+
+@pytest.fixture
+def decision_tables(monkeypatch):
+    """The table that each floor decision stores, in call order.
+
+    ``value_at_least`` builds its search with ``solve._expander`` in a
+    window ``(T - 1, T)``, the only build with ``lo >= 0``, so a
+    recorder on ``_expander`` keeps the ``memo`` of each such build and
+    skips the value searches' ``(-1, total + 1)``."""
+    # the package binds the name ``solve`` to the function
+    solve_module = import_module("graphshare.solve")
+    build = solve_module._expander
+    tables = []
+
+    def recorded(search, memo, canon, lo, hi):
+        if lo >= 0:
+            tables.append(memo)
+        return build(search, memo, canon, lo, hi)
+
+    monkeypatch.setattr(solve_module, "_expander", recorded)
+    return tables
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

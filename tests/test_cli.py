@@ -254,6 +254,9 @@ class TestVerifyCommand:
             "alternate_iters=0",
             "vertices=0",
             "threshold=1,2",
+            # a share outside [0, 1] passes or fails every search
+            "threshold=36",
+            "stretch=-1/2",
         ],
     )
     def test_unparsable_param_value(self, param, capsys):
@@ -263,6 +266,7 @@ class TestVerifyCommand:
             "alternate_iters": "tie-tree-search",
             "vertices": "tie-tree-search",
             "threshold": "tie-tree-search",
+            "stretch": "tie-tree-search",
         }.get(key, "general-third")
         code = main(["verify", "--suite", suite, "--param", param])
         assert code == EXIT_USAGE
@@ -468,3 +472,56 @@ def test_python_dash_m_runs_the_command_line():
     assert done.returncode == EXIT_USAGE
     assert done.stdout == ""
     assert done.stderr.startswith("error: unknown suite 'nope'")
+
+
+NO_NETWORKX = """
+import sys
+from fractions import Fraction
+
+from graphshare import (
+    GraphShape, TiePolicy, alternate_optimize, extract_forest,
+    gen_random_connected, hill_climb, run_suite, solve,
+)
+from graphshare.solve import value_at_least
+from graphshare.verify import SUITE_NAMES
+
+SIZES = {
+    "general-third": {"cases": 4, "max_vertices": 6},
+    "tree-half": {"cases": 4, "max_vertices": 6},
+    "mutual-edge": {"cases": 4, "max_vertices": 6},
+    "oracle-equivalence": {"cases": 4, "max_vertices": 5},
+    "lead-invariant": {"cases": 4, "max_vertices": 5},
+    "cycle7-family": {"m_values": (1000,)},
+    "edge-family": {"k_max": 5},
+}
+instance = gen_random_connected(6, 1, 0, 100)
+solve(instance, TiePolicy.FIRST_MOVES)
+value_at_least(instance, TiePolicy.FIRST_MOVES, Fraction(1, 3))
+extract_forest(instance, TiePolicy.FIRST_MOVES)
+for name in SUITE_NAMES:
+    if name != "tie-tree-search":
+        assert run_suite(name, seed=0, size_params=SIZES[name]).passed
+cycle = GraphShape.cycle(5)
+hill_climb(cycle, TiePolicy.FORBID, seed=0, iters=4)
+alternate_optimize(cycle, TiePolicy.FORBID, max_iters=1)
+print("networkx" in sys.modules)
+"""
+
+
+def test_only_tree_enumeration_and_known_layouts_import_networkx():
+    # importing networkx more than doubles a bare process's peak memory,
+    # far past the benchmark's 15% bound on it, so the solver, the
+    # decision, the forest, both searches on a shape with no known layout
+    # and every suite but tie-tree-search must not load it
+    src = str(Path(graphshare.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

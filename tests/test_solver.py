@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import math
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -883,14 +882,13 @@ class TestFloorDecision:
         assert value_at_least(edge, TiePolicy.FORBID, Fraction(4, 5))
         assert value_at_least(edge, TiePolicy.FORBID, 1) is False
 
-    def test_decision_stores_far_fewer_entries_than_solve(self):
+    def test_decision_stores_far_fewer_entries_than_solve(self, decision_tables):
         inst = gen_random_connected(12, 1, 0, 10**9)
-        total = inst.total_weight
         report = solve(inst, TiePolicy.FORBID)
         for share, fewer in ((Fraction(1, 3), 100), (report.value, 5)):
-            search = _Search(inst, TiePolicy.FORBID)
-            assert search.reaches(math.ceil(share * total))
-            assert len(search.verdicts) * fewer < report.state_count
+            assert value_at_least(inst, TiePolicy.FORBID, share)
+            assert len(decision_tables[-1]) * fewer < report.state_count
+        assert len(decision_tables) == 2
 
 
 P3 = path([1, 1, 1])

@@ -603,6 +603,24 @@ def test_floor_decision_renders_as_the_solve_path(monkeypatch, name, seed, sizes
     assert run_suite(name, seed=seed, size_params=sizes).render() == decided
 
 
+@pytest.mark.parametrize(
+    "name, seed, sizes, entries",
+    [
+        ("general-third", 11, {"cases": 1200, "max_vertices": 9}, 20203),
+        ("tree-half", 7, {"cases": 600, "max_vertices": 10}, 24865),
+    ],
+)
+def test_floor_decisions_store_a_pinned_number_of_entries(
+    decision_tables, name, seed, sizes, entries
+):
+    # the benchmark's seed-0 corpora; renders and digests pin only the
+    # answers, so a change that weakens the window's pruning shows here
+    # (without the stop test these 1800 decisions store 646,778 entries)
+    assert run_suite(name, seed=seed, size_params=sizes).passed
+    assert len(decision_tables) == sizes["cases"]
+    assert sum(map(len, decision_tables)) == entries
+
+
 def test_tie_tree_search_rejects_vertices_above_the_cap_up_front():
     # enumerating every tree on 40 vertices before the check would not finish
     with pytest.raises(GraphShareError, match="at most 10"):
