@@ -88,14 +88,15 @@ class GraphShape:
 def tree_shapes(n: int):
     """All trees on n vertices up to isomorphism, in a fixed order,
     built lazily.  Rejects n < 1 at the call.  The count grows
-    exponentially in n, so callers check their vertex cap first."""
-    import networkx as nx
-
+    exponentially in n, so callers check their vertex cap first.  Only
+    n >= 2 loads networkx."""
     if n < 1:
         raise ValueError(f"a tree needs at least 1 vertex, got {n}")
     if n == 1:
         # networkx 3.0 refuses orders below 2
         return iter([GraphShape(1, ())])
+    import networkx as nx
+
     return (
         GraphShape(n, tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges())))
         for g in nx.nonisomorphic_trees(n)

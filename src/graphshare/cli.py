@@ -59,7 +59,7 @@ class _UsageError(Exception):
 
 
 def _read_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_instance(handle.read())
 
 

@@ -22,25 +22,25 @@ equal totals occur at any reachable nonempty state, including an
 exactly tied final split.
 
 One engine, ``_Search``, serves every view, and all of them share one
-memo per search; no other module builds a search state.  It has one
-search loop, ``_expander``'s: ``best``, the value search, runs it
-exactly, and ``value_at_least``, the decision "does First finish with
-at least T?" for checks that only compare the value with a floor, runs
-it in the null window ``(T - 1, T)`` of MTD(f) (Plaat et al. 1996) over
-a table of its own, so most states are skipped, and with them some ties
-(see ``value_at_least``).
+memo per search; no other module builds a search state, and outside
+``_expander``'s loop only ``_Search.child`` does.  It has one search
+loop, ``_expander``'s: ``best``, the value search, runs it exactly, and
+``value_at_least``, the decision "does First finish with at least T?"
+for checks that only compare the value with a floor, runs it in the
+null window ``(T - 1, T)`` of MTD(f) (Plaat et al. 1996) over a table
+of its own, so most states are skipped, and with them some ties (see
+``value_at_least``).
 
 As the value search searches a state it records the state's canonical
-move, the lowest-id move whose child keeps the value, and
-``canonical`` reads it back with its child state.  Canonical play
-(``line``, ``principal_line``, ``canonical_strategy``) and Second's
-states in the adversary's scenario forest (``ForestNode``) read that
-record and expand no other move.  Second's canonical reply to an
-opening is the second move of the opening's canonical line, which is
-where ``response_map`` reads it.  Every other child state comes from
-``moves``, the mover's legal moves with their child states, lowest
-vertex id first; ``optimal_responses`` keeps the replies whose child
-keeps the opening's value.
+move, the lowest-id move whose child keeps the value, and ``canonical``
+reads it back with its child state.  Canonical play (``line``,
+``principal_line``, ``canonical_strategy``) and Second's states in the
+adversary's scenario forest (``ForestNode``) read that record and
+expand no other move.  Second's canonical reply to an opening is the
+second move of the opening's canonical line, which is where
+``response_map`` reads it.  ``moves`` lists the mover's legal moves
+with their child states, lowest vertex id first; ``optimal_responses``
+keeps the replies whose child keeps the opening's value.
 """
 
 from __future__ import annotations
@@ -92,20 +92,19 @@ class _Search:
 
     A search state is the tuple ``(fm, sm, f, s, reach, key)``: both
     holding masks, their totals, the union of the taken vertices'
-    neighbor masks and the memo key (below); ``state`` and ``opening``
-    build one.  ``best`` first decides a state where one player holds
-    ``half``, ``ceil(total / 2)``, or more: the other player takes the
-    rest, so First ends with ``f`` or with ``total - s``.  Those states
-    are never stored, so ``memo`` holds First's final total for
-    undecided states only, and ``canon``, under the same keys, each
-    one's canonical move.  ``best`` hands a memo miss to ``expand``,
-    which ``__init__`` builds once over those tables with ``_expander``;
-    the floor decision ``value_at_least`` builds another over a fresh
-    table.  Everywhere else ``moves`` builds the children: it takes
-    the mover from ``core.mover_at`` and lists every legal move with its
-    child state.  Per opening, ``line`` reads canonical play and
-    ``forest`` the scenario forest, which expands First's states by
-    ``moves`` and Second's by ``canonical``.
+    neighbor masks and the memo key (below).  Outside ``_expander``,
+    ``child`` builds every state: ``state`` and ``opening`` fold it from
+    the empty state, and ``moves`` and ``canonical`` call it per child.
+    ``best`` first decides a state where one player holds ``half``,
+    ``ceil(total / 2)``, or more: the other player takes the rest, so
+    First ends with ``f`` or with ``total - s``.  Those states are never
+    stored, so ``memo`` holds First's final total for undecided states
+    only, and ``canon``, under the same keys, each one's canonical move.
+    ``best`` hands a memo miss to ``expand``, which ``__init__`` builds
+    once over those tables with ``_expander``; the floor decision
+    ``value_at_least`` builds another over a fresh table.  Per opening,
+    ``line`` reads canonical play and ``forest`` the scenario forest,
+    First's states by ``moves`` and Second's by ``canonical``.
 
     Play from a state depends only on the taken set and the gap
     ``d = f - s``, so the one-int gap key ``d * 2**n + taken`` merges
@@ -115,10 +114,8 @@ class _Search:
     weights seldom repeat a gap, so there the key would merge little and
     cost a multi-digit int; such searches keep the finer pair key
     ``fm * 2**n + sm``.  ``__init__`` makes that choice once, as each
-    vertex's key delta: ``state`` sums ``first_delta`` over First's
-    vertices and ``second_delta`` over Second's, and a child adds the
-    moved vertex's delta to its parent's key.  Taking ``v`` adds
-    ``(w[v] << n) + (1 << v)`` to the gap key for First and
+    vertex's key delta, which a child adds to its parent's key: taking
+    ``v`` adds ``(w[v] << n) + (1 << v)`` to the gap key for First and
     ``(1 << v) - (w[v] << n)`` for Second, and ``1 << (v + n)`` or
     ``1 << v`` to the pair key.
 
@@ -164,11 +161,21 @@ class _Search:
 
     def state(self, fm: int, sm: int) -> tuple[int, int, int, int, int, int]:
         """The search state of the holdings ``fm`` and ``sm``."""
-        inst = self.instance
-        first, second = self.first_delta, self.second_delta
-        key = sum(first[v] for v in bits(fm)) + sum(second[v] for v in bits(sm))
-        f, s = inst.weight_of(fm), inst.weight_of(sm)
-        return fm, sm, f, s, inst.reach_mask(fm | sm), key
+        state = (0, 0, 0, 0, 0, 0)
+        for mask, first in ((fm, True), (sm, False)):
+            for v in bits(mask):
+                state = self.child(*state, v, first)
+        return state
+
+    def child(
+        self, fm: int, sm: int, f: int, s: int, reach: int, key: int, v: int, first: bool
+    ) -> tuple[int, int, int, int, int, int]:
+        """The search state after First (``first``) or Second takes ``v``."""
+        w = self.weights[v]
+        reach |= self.nbr[v]
+        if first:
+            return fm | 1 << v, sm, f + w, s, reach, key + self.first_delta[v]
+        return fm, sm | 1 << v, f, s + w, reach, key + self.second_delta[v]
 
     def best(self, fm: int, sm: int, f: int, s: int, reach: int, key: int) -> int:
         """Final First total under optimal play from the state."""
@@ -192,24 +199,10 @@ class _Search:
         ``core.mover_at``, and ``(vertex, child state)`` for each of its
         legal moves, lowest vertex id first."""
         who = mover_at(fm, sm, f, s, self.policy)
-        first_moves = who is FIRST
-        taken = fm | sm
-        m = self.full if taken == 0 else reach & ~taken
-        weights = self.weights
-        nbr = self.nbr
-        delta = self.first_delta if first_moves else self.second_delta
-        found = []
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            k = key + delta[v]
-            if first_moves:
-                child = (fm | low, sm, f + weights[v], s, reach | nbr[v], k)
-            else:
-                child = (fm, sm | low, f, s + weights[v], reach | nbr[v], k)
-            found.append((v, child))
-        return who, found
+        first = who is FIRST
+        m = reach & ~(fm | sm) if fm | sm else self.full
+        child = self.child
+        return who, [(v, child(fm, sm, f, s, reach, key, v, first)) for v in bits(m)]
 
     def canonical(self, fm: int, sm: int, f: int, s: int, reach: int, key: int):
         """``(mover, (vertex, child state))`` of the canonical move at a
@@ -223,20 +216,15 @@ class _Search:
             v = (m & -m).bit_length() - 1
         else:
             v = self.canon[key]
-        low = 1 << v
-        w = self.weights[v]
-        reach |= self.nbr[v]
-        if f < s or (f == s and mover_at(fm, sm, f, s, self.policy) is FIRST):
-            key += self.first_delta[v]
-            return FIRST, (v, (fm | low, sm, f + w, s, reach, key))
-        key += self.second_delta[v]
-        return SECOND, (v, (fm, sm | low, f, s + w, reach, key))
+        first = f < s or (f == s and mover_at(fm, sm, f, s, self.policy) is FIRST)
+        move = v, self.child(fm, sm, f, s, reach, key, v, first)
+        return (FIRST if first else SECOND), move
 
     def opening(self, v: int) -> tuple[int, int, int, int, int, int]:
         """The search state after First opens at ``v``."""
         if not 0 <= v < self.shift:
             raise ValueError(f"start vertex {v} does not exist")
-        return 1 << v, 0, self.weights[v], 0, self.nbr[v], self.first_delta[v]
+        return self.child(0, 0, 0, 0, 0, 0, v, True)
 
     def line(self, start: int) -> tuple[tuple[Player, int], ...]:
         """Canonical play after First opens at ``start``, the opening
@@ -280,8 +268,11 @@ def _expander(search: _Search, memo, canon, lo: int, hi: int):
     from ``memo``, whose key is ``key``.  The mover tries each legal
     move and keeps the best child, which it stores under ``key`` in
     ``memo`` with its move in ``canon``.  Each child is screened in the
-    loop, first decided, then a memo hit, so only a miss recurses; its
-    key is ``key`` plus the moved vertex's delta.
+    loop, first decided, then a memo hit, so only a miss recurses.  The
+    loop builds each child inline, the one copy of ``_Search.child``,
+    which ``test_screened_search_stores_what_plain_recursion_stored``
+    and ``test_optimal_moves_are_the_value_keeping_moves`` pin to the
+    closed form.
 
     One window ``(lo, hi)`` sets the search: clamped to ``[lo, hi]``,
     each stored value equals the state's value.  So First is decided
@@ -454,12 +445,11 @@ def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveRepo
     """Evaluate every opening and report values, canonical lines, and the
     game value; openings share one memo table."""
     search = _Search(instance, policy)
-    total = instance.total_weight
     per_start = []
     best_raw = -1
     for start in range(instance.vertex_count):
         raw = search.best(*search.opening(start))
-        value = Fraction(raw, total)
+        value = Fraction(raw, search.total)
         per_start.append(StartResult(start=start, value=value, line=search.line(start)))
         if raw > best_raw:
             best_raw = raw

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -91,10 +92,21 @@ class TestGraphShape:
             GraphShape(3, ((0, 1),)).instance((1, 2, 3))
 
     def test_tree_shape_counts(self):
-        assert len(list(tree_shapes(1))) == 1
+        # unlabeled trees on n = 1..12 vertices, OEIS A000055
+        counts = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+        assert [len(list(tree_shapes(n))) for n in range(1, 13)] == counts
         assert list(tree_shapes(2)) == [GraphShape.single_edge()]
-        assert len(list(tree_shapes(4))) == 2
-        assert len(list(tree_shapes(7))) == 11
+
+    def test_tree_shape_order_is_pinned(self):
+        # tie-tree-search gives each tree the subseed at its index, so a
+        # new enumeration order, say from another networkx release or a
+        # port of the enumeration, changes that suite's render
+        edges = repr([shape.edges for shape in tree_shapes(9)])
+        digest = hashlib.sha256(edges.encode()).hexdigest()
+        assert digest.startswith("950a56228050def2"), (
+            f"tree_shapes(9) order changed (sha256 {digest[:16]}); "
+            "tie-tree-search's render changes with it"
+        )
 
     def test_tree_shapes_are_deterministic(self):
         assert list(tree_shapes(6)) == list(tree_shapes(6))

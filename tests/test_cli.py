@@ -94,6 +94,17 @@ class TestSolveCommand:
         assert main(["solve", str(target)]) == EXIT_USAGE
         assert "can't decode" in assert_one_line_error(capsys)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # editors on Windows may start a UTF-8 file with a byte-order mark
+        text = b"2 1\n3 4\n0 1\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["solve", str(plain)]) == EXIT_OK
+        expected = capsys.readouterr()
+        assert main(["solve", str(marked)]) == EXIT_OK
+        assert capsys.readouterr() == expected
+
     def test_size_warning_on_stderr(self, tmp_path, capsys):
         inst = Instance(
             weights=tuple(2**v for v in range(17)),
@@ -482,6 +493,7 @@ from graphshare import (
     GraphShape, TiePolicy, alternate_optimize, extract_forest,
     gen_random_connected, hill_climb, run_suite, solve,
 )
+from graphshare.adversary import tree_shapes
 from graphshare.solve import value_at_least
 from graphshare.verify import SUITE_NAMES
 
@@ -504,6 +516,13 @@ for name in SUITE_NAMES:
 cycle = GraphShape.cycle(5)
 hill_climb(cycle, TiePolicy.FORBID, seed=0, iters=4)
 alternate_optimize(cycle, TiePolicy.FORBID, max_iters=1)
+try:
+    tree_shapes(0)
+except ValueError:
+    pass
+else:
+    raise AssertionError("tree_shapes(0) was not refused")
+assert len(list(tree_shapes(1))) == 1
 print("networkx" in sys.modules)
 """
 
@@ -511,8 +530,9 @@ print("networkx" in sys.modules)
 def test_only_tree_enumeration_and_known_layouts_import_networkx():
     # importing networkx more than doubles a bare process's peak memory,
     # far past the benchmark's 15% bound on it, so the solver, the
-    # decision, the forest, both searches on a shape with no known layout
-    # and every suite but tie-tree-search must not load it
+    # decision, the forest, both searches on a shape with no known layout,
+    # every suite but tie-tree-search, and tree enumeration's refusal of
+    # n < 1 and its one tree on n = 1 must not load it
     src = str(Path(graphshare.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))

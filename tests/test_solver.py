@@ -354,7 +354,8 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
     # moves are the legal moves in vertex order, with their children,
     # and its canonical move the lowest-id one whose child keeps the
     # state's value, for either mover; small weights take the gap key
-    # and large ones the pair key, and every state carries its key
+    # and large ones the pair key, and every state carries its closed
+    # form: both holdings, their totals, their reach and the key
     for policy in ALL_POLICIES:
         try:
             report = solve(inst, policy)
@@ -382,9 +383,18 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
                 legal.append(move)
                 if value_from(inst, policy, child) == value:
                     expected.append(move)
-            # moves and canonical must carry the keys that state() built
+            # state, moves and canonical all build states with child, so
+            # each carried state is checked against its closed form
             for carried in [here] + [child for _v, child in legal]:
-                assert carried[-1] == _closed_form_key(search, carried)
+                fm, sm = carried[0], carried[1]
+                assert carried == (
+                    fm,
+                    sm,
+                    inst.weight_of(fm),
+                    inst.weight_of(sm),
+                    inst.reach_mask(fm | sm),
+                    _closed_form_key(search, carried),
+                )
             assert search.moves(*here) == (who, legal)
             search.best(*here)
             assert search.canonical(*here) == (who, expected[0])
