@@ -164,8 +164,14 @@ def _known_seeds(shape: GraphShape) -> list[tuple[int, ...]]:
     plants the scenario and the LP does the numeric work."""
     seeds: list[tuple[int, ...]] = []
     n = shape.vertex_count
+    shape_edges = {frozenset(e) for e in shape.edges}
     for edges, weights in _KNOWN_LAYOUTS:
         if n != len(weights) or len(shape.edges) != len(edges):
+            continue
+        # the layout itself, which the matcher maps by the identity; this
+        # spares the networkx import and its memory
+        if shape_edges == {frozenset(e) for e in edges}:
+            seeds.append(weights)
             continue
         import networkx as nx
         from networkx.algorithms.isomorphism import GraphMatcher

@@ -124,11 +124,14 @@ def check_policy(policy: TiePolicy) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """Raise TypeError unless ``operator.index`` accepts ``seed``.  A
-    seeded entry promises results that depend only on its arguments,
-    but ``random.Random(None)`` seeds from the operating system, and a
-    float or a string seeds a stream that no int names."""
+    """Raise TypeError if ``seed`` is a bool or ``operator.index``
+    refuses it.  A seeded entry promises results that depend only on its
+    arguments, but ``random.Random(None)`` seeds from the operating
+    system, a float or a string seeds a stream that no int names, and
+    ``True`` would be reported as a seed other than the ``1`` it plays."""
     try:
+        if isinstance(seed, bool):
+            raise TypeError
         operator.index(seed)
     except TypeError:
         raise TypeError(f"seed {seed!r} is not an int") from None

@@ -1,9 +1,12 @@
 """Independent brute-force checks for the solver and the lead invariant.
 
 This module deliberately shares only the rule definitions with the
-solver: valuation here recurses over frozensets without memoization and
-recomputes totals from scratch, so a bug would have to be introduced
-twice to go unnoticed.
+solver: one plain walk, ``_walk``, recurses over every legal line
+without memoization, over frozensets, and recomputes both totals from
+scratch at every state; it calls nothing in ``solve``, not even the
+engine's mover rule, so a bug would have to be introduced twice to go
+unnoticed.  The walk has two readers: ``brute_value`` takes First's
+minimax total, and ``audit_lines`` audits each line where play stops.
 
 The line audits replay complete legal play sequences (not just optimal
 ones) and check the lead invariant: whenever one player strictly leads,
@@ -21,8 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
+    FIRST,
+    SECOND,
     Instance,
     Player,
     TiePolicy,
@@ -34,10 +40,6 @@ from .core import (
 BRUTE_VERTEX_CAP = VertexCap(10, "brute-force oracle")
 AUDIT_EXHAUSTIVE_CAP = VertexCap(8, "exhaustive audit")
 
-# An enum member lookup costs about ten global lookups on CPython 3.11;
-# the per-step loops below read these bindings instead.
-_FIRST, _SECOND = Player.FIRST, Player.SECOND
-
 
 def _adjacency(instance: Instance) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(instance.vertex_count)}
@@ -47,41 +49,63 @@ def _adjacency(instance: Instance) -> dict[int, set[int]]:
     return adj
 
 
-def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
-    """Final First share after opening at ``start``, by plain exhaustive
-    recursion over every legal continuation."""
+def _walk(
+    instance: Instance, policy: TiePolicy, start: int, cap: VertexCap, stop: Callable
+) -> int:
+    """First's minimax total over every legal line opened at ``start``.
+
+    Refuses a policy that is not a ``TiePolicy``, then more than ``cap``
+    vertices, then a start that does not exist.  Wherever play stops (a
+    tie under the forbid policy, a tied final split included, or every
+    vertex taken) it calls ``stop(line, first, second, tied)`` with the
+    line so far, a list it reuses.  Elsewhere the smaller total moves,
+    the policy naming the mover on equal totals, over the frontier in
+    increasing vertex id.
+    """
     check_policy(policy)
     n = instance.vertex_count
-    BRUTE_VERTEX_CAP.check(n)
+    cap.check(n)
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} does not exist")
     adj = _adjacency(instance)
     weights = instance.weights
     forbid = policy is TiePolicy.FORBID
-    first_on_tie = policy is TiePolicy.FIRST_MOVES
+    on_tie = FIRST if policy is TiePolicy.FIRST_MOVES else SECOND
+    line = [(FIRST, start)]
 
     def rec(first: frozenset[int], second: frozenset[int]) -> int:
         f = sum(weights[v] for v in first)
         s = sum(weights[v] for v in second)
         taken = first | second
-        if forbid and f == s:
+        tied = forbid and f == s
+        if tied or len(taken) == n:
+            stop(line, first, second, tied)
+            return f
+        who = FIRST if f < s else SECOND if f > s else on_tie
+        totals = []
+        for v in sorted({u for v in taken for u in adj[v]} - taken):
+            line.append((who, v))
+            totals.append(
+                rec(first | {v}, second) if who is FIRST else rec(first, second | {v})
+            )
+            line.pop()
+        return max(totals) if who is FIRST else min(totals)
+
+    return rec(frozenset({start}), frozenset())
+
+
+def brute_value(instance: Instance, policy: TiePolicy, start: int) -> Fraction:
+    """Final First share after opening at ``start``, by plain exhaustive
+    recursion over every legal continuation."""
+
+    def stop(line, first, second, tied):
+        if tied:
             raise TieEncounteredError(
                 sum(1 << v for v in first), sum(1 << v for v in second)
             )
-        if len(taken) == n:
-            return f
-        if f < s:
-            first_moves = True
-        elif f > s:
-            first_moves = False
-        else:
-            first_moves = first_on_tie
-        frontier = {u for v in taken for u in adj[v]} - taken
-        if first_moves:
-            return max(rec(first | {v}, second) for v in frontier)
-        return min(rec(first, second | {v}) for v in frontier)
 
-    return Fraction(rec(frozenset({start}), frozenset()), instance.total_weight)
+    total = _walk(instance, policy, start, BRUTE_VERTEX_CAP, stop)
+    return Fraction(total, instance.total_weight)
 
 
 @dataclass(frozen=True)
@@ -115,7 +139,7 @@ def _audit_one(
         tie_origin = f == s
         if tie_origin and step > 0:
             tie_steps.append(step)
-        if who is _FIRST:
+        if who is FIRST:
             f += weights[v]
             last_f = v
         else:
@@ -124,9 +148,9 @@ def _audit_one(
         if f == s:
             continue
         if f > s:
-            leader, lead, last_w = _FIRST, f - s, weights[last_f]
+            leader, lead, last_w = FIRST, f - s, weights[last_f]
         else:
-            leader, lead, last_w = _SECOND, s - f, weights[last_s]
+            leader, lead, last_w = SECOND, s - f, weights[last_s]
         if lead < last_w:
             continue
         if lead == last_w and tie_origin and who is leader:
@@ -153,43 +177,10 @@ def audit_lines(
     reaching tied totals is reported with ``skipped=True`` rather than
     counted as a violation.
     """
-    check_policy(policy)
-    n = instance.vertex_count
-    if not 0 <= start < n:
-        raise ValueError(f"start vertex {start} does not exist")
-    AUDIT_EXHAUSTIVE_CAP.check(n)
-    adj = _adjacency(instance)
-    weights = instance.weights
-    forbid = policy is TiePolicy.FORBID
-    on_tie = _FIRST if policy is TiePolicy.FIRST_MOVES else _SECOND
     audits: list[LineAudit] = []
-    prefix: list[tuple[Player, int]] = [(_FIRST, start)]
 
-    def walk(first: frozenset[int], second: frozenset[int]) -> None:
-        f = sum(weights[v] for v in first)
-        s = sum(weights[v] for v in second)
-        # under forbid a tie ends the line, a tied final split included
-        if forbid and f == s:
-            audits.append(_audit_one(instance, tuple(prefix), skipped=True))
-            return
-        taken = first | second
-        if len(taken) == n:
-            audits.append(_audit_one(instance, tuple(prefix), skipped=False))
-            return
-        if f < s:
-            who = _FIRST
-        elif f > s:
-            who = _SECOND
-        else:
-            who = on_tie
-        frontier = sorted({u for v in taken for u in adj[v]} - taken)
-        for v in frontier:
-            prefix.append((who, v))
-            if who is _FIRST:
-                walk(first | {v}, second)
-            else:
-                walk(first, second | {v})
-            prefix.pop()
+    def stop(line, first, second, tied):
+        audits.append(_audit_one(instance, tuple(line), skipped=tied))
 
-    walk(frozenset({start}), frozenset())
+    _walk(instance, policy, start, AUDIT_EXHAUSTIVE_CAP, stop)
     return audits

@@ -53,6 +53,45 @@ SPIDER = GraphShape(
     9, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (3, 6), (4, 7), (5, 8))
 )
 SPIDER_SEED = (3, 3, 3, 8, 1, 2, 1030, 1002, 1002)
+_PERM = (4, 7, 0, 2, 8, 5, 1, 3, 6)
+RELABELED_SPIDER = GraphShape(
+    9,
+    tuple(
+        sorted(
+            (min(_PERM[u], _PERM[v]), max(_PERM[u], _PERM[v]))
+            for u, v in SPIDER.edges
+        )
+    ),
+)
+
+
+def relabeled_cycles():
+    """Ten seven-cycles under seeded vertex permutations, edges shuffled,
+    each with its permutation."""
+    rng = random.Random(7)
+    for _ in range(10):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in GraphShape.cycle(7).edges]
+        rng.shuffle(edges)
+        yield perm, GraphShape(7, tuple(edges))
+
+
+def _matched_seeds(shape):
+    """The known layouts' weights for ``shape`` by GraphMatcher alone."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    n = shape.vertex_count
+    seeds = []
+    for edges, weights in adversary._KNOWN_LAYOUTS:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(shape.edges)
+        matcher = GraphMatcher(graph, nx.Graph(edges))
+        if matcher.is_isomorphic():
+            seeds.append(tuple(weights[matcher.mapping[v]] for v in range(n)))
+    return seeds
 
 
 class TestGraphShape:
@@ -407,13 +446,7 @@ class TestAlternateOptimize:
         assert _known_seeds(GraphShape.cycle(7)) == [
             gen_cycle7_family(1000).weights
         ]
-        rng = random.Random(7)
-        for _ in range(10):
-            perm = list(range(7))
-            rng.shuffle(perm)
-            edges = [(perm[u], perm[v]) for u, v in GraphShape.cycle(7).edges]
-            rng.shuffle(edges)
-            shape = GraphShape(7, tuple(edges))
+        for perm, shape in relabeled_cycles():
             (seed,) = _known_seeds(shape)
             # laid out from vertex 0 toward its smaller neighbour
             nearer = min(perm[(perm.index(0) + step) % 7] for step in (1, -1))
@@ -422,18 +455,22 @@ class TestAlternateOptimize:
             assert value == Fraction(1069, 3095)
 
     def test_relabeled_spider_still_recognized(self):
-        perm = (4, 7, 0, 2, 8, 5, 1, 3, 6)
-        edges = tuple(
-            sorted(
-                (min(perm[u], perm[v]), max(perm[u], perm[v]))
-                for u, v in SPIDER.edges
-            )
-        )
-        shuffled = GraphShape(9, edges)
         result = alternate_optimize(
-            shuffled, TiePolicy.FIRST_MOVES, max_iters=2
+            RELABELED_SPIDER, TiePolicy.FIRST_MOVES, max_iters=2
         )
         assert result.value <= Fraction(1044, 3054)
+
+    def test_exact_layouts_skip_the_matcher_with_its_answer(self):
+        # a shape whose unordered edges equal a known layout's gets that
+        # layout's weights without networkx; every other shape goes
+        # through the matcher, and both ways agree with it
+        reordered = tuple((v, u) for u, v in reversed(SPIDER.edges))
+        shapes = [GraphShape.cycle(7), SPIDER, GraphShape(9, reordered)]
+        shapes += [RELABELED_SPIDER] + [shape for _, shape in relabeled_cycles()]
+        shapes += list(tree_shapes(7)) + list(tree_shapes(9))
+        for shape in shapes:
+            assert _known_seeds(shape) == _matched_seeds(shape), shape
+        assert _known_seeds(SPIDER) == [SPIDER_SEED]
 
     @pytest.mark.parametrize("budget", [1, 2, 3])
     def test_budget_counts_trace_records(self, budget):

@@ -516,6 +516,12 @@ for name in SUITE_NAMES:
 cycle = GraphShape.cycle(5)
 hill_climb(cycle, TiePolicy.FORBID, seed=0, iters=4)
 alternate_optimize(cycle, TiePolicy.FORBID, max_iters=1)
+# the known layouts themselves, as perfbench's adversary-search runs them
+alternate_optimize(GraphShape.cycle(7), TiePolicy.FORBID, max_iters=1)
+spider = GraphShape(
+    9, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (3, 6), (4, 7), (5, 8))
+)
+hill_climb(spider, TiePolicy.FIRST_MOVES, seed=0, iters=4)
 try:
     tree_shapes(0)
 except ValueError:
@@ -530,9 +536,11 @@ print("networkx" in sys.modules)
 def test_only_tree_enumeration_and_known_layouts_import_networkx():
     # importing networkx more than doubles a bare process's peak memory,
     # far past the benchmark's 15% bound on it, so the solver, the
-    # decision, the forest, both searches on a shape with no known layout,
-    # every suite but tie-tree-search, and tree enumeration's refusal of
-    # n < 1 and its one tree on n = 1 must not load it
+    # decision, the forest, both searches on a shape with no known layout
+    # and on the known layouts themselves (the 7-cycle and the reference
+    # spider, whose edges match exactly), every suite but tie-tree-search,
+    # and tree enumeration's refusal of n < 1 and its one tree on n = 1
+    # must not load it
     src = str(Path(graphshare.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphshare import oracle
 from graphshare.core import (
     GameState,
     Instance,
@@ -59,6 +60,43 @@ class TestBruteValue:
     def test_bad_start(self):
         with pytest.raises(ValueError):
             brute_value(PATH3, TiePolicy.FORBID, 3)
+
+    def test_first_tie_is_the_engines(self):
+        # the walk takes the frontier in increasing vertex id, and so
+        # meets the engine's first tie; a set of nine or more vertex ids
+        # may iterate in another order, which meets another tie here
+        inst = Instance(
+            weights=(9, 8, 11, 10, 3, 2, 8, 5, 3),
+            edges=((0, 7), (1, 8), (4, 7), (5, 7), (6, 8), (3, 7), (2, 3), (2, 8)),
+        )
+        with pytest.raises(TieEncounteredError) as brute:
+            brute_value(inst, TiePolicy.FORBID, 0)
+        with pytest.raises(TieEncounteredError) as engine:
+            value_from(inst, TiePolicy.FORBID, GameState(1, 0))
+        masks = (brute.value.first_mask, brute.value.second_mask)
+        assert masks == (engine.value.first_mask, engine.value.second_mask)
+        assert masks == (0x5, 0xB8)
+
+
+@pytest.mark.parametrize(
+    "entry, cap",
+    [(brute_value, BRUTE_VERTEX_CAP), (audit_lines, AUDIT_EXHAUSTIVE_CAP)],
+    ids=["brute_value", "audit_lines"],
+)
+def test_refusals_come_policy_then_cap_then_start(monkeypatch, entry, cap):
+    # the engine views' order, each refusal before the walk builds its
+    # adjacency
+    def refuse(instance):
+        raise AssertionError("the walk started before its checks")
+
+    monkeypatch.setattr(oracle, "_adjacency", refuse)
+    big = path(range(1, cap + 2))
+    with pytest.raises(TypeError, match="tie policy 'first' is not a TiePolicy"):
+        entry(big, "first", cap + 1)
+    with pytest.raises(InstanceTooLargeError, match=f"the {cap.what} cap of {cap}$"):
+        entry(big, TiePolicy.FIRST_MOVES, cap + 1)
+    with pytest.raises(ValueError, match="start vertex 3 does not exist"):
+        entry(PATH3, TiePolicy.FIRST_MOVES, 3)
 
 
 @given(inst=instances(max_n=5, weight_max=8))

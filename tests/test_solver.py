@@ -943,11 +943,12 @@ SEED_ENTRIES = {
 
 
 @pytest.mark.parametrize("name", sorted(SEED_ENTRIES))
-@pytest.mark.parametrize("seed", [None, 1.5, "7"])
+@pytest.mark.parametrize("seed", [None, 1.5, "7", True])
 def test_a_seed_that_is_not_an_int_is_refused(name, seed):
     # random.Random(None) seeds from the operating system, so two calls
     # with equal arguments could differ; a float or a string seeds a
-    # stream that no int seed names
+    # stream that no int seed names; True plays seed 1 but would be
+    # reported as seed=True
     SEED_ENTRIES[name](7)
     with pytest.raises(TypeError, match=f"seed {seed!r} is not an int"):
         SEED_ENTRIES[name](seed)
