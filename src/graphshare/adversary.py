@@ -43,6 +43,7 @@ from .core import (
     TieEncounteredError,
     VertexCap,
     bits,
+    check_int,
     check_seed,
 )
 from .generators import gen_cycle7_family
@@ -119,9 +120,6 @@ class AnnotatedScenarioForest:
     def nodes(self) -> tuple[ForestNode, ...]:
         """Every node, in the forest's order."""
         return self._nodes
-
-    def signature(self) -> frozenset:
-        return frozenset(self._nodes)
 
 
 def extract_forest(instance: Instance, policy: TiePolicy) -> AnnotatedScenarioForest:
@@ -339,7 +337,7 @@ def _certify_candidate(
     value = _certified(instance, policy)
     if value is None:
         instance = shape.instance(_tie_free_lift(weights))
-        value = solve(instance, policy).value
+        value = _certified(instance, policy)
     return instance, value
 
 
@@ -353,15 +351,17 @@ def alternate_optimize(
     Runs one extract/minimize/certify chain per ladder start (known-hard
     seeds for recognized shapes, then neutral patterns), sharing a
     budget of ``max_iters`` LP iterations, one trace record each, and
-    forest-signature memory.  A chain ends on a repeated forest or a
-    stalled best.  The search ends with stop reason ``"converged"`` when
-    the ladder runs out and ``"max_iters"`` when the budget does.  Each
-    ladder start is certified before the budget is tested, so the result
-    can come from a start that no record shows, below the last record's
-    ``best_value``.  Deterministic in its inputs, and the reported value
-    is always the exact solver's, never the LP bound.
+    the node sets of the forests seen.  A chain ends on a repeated
+    forest or a stalled best.  The search ends with stop reason
+    ``"converged"`` when the ladder runs out and ``"max_iters"`` when
+    the budget does.  Each ladder start is certified before the budget
+    is tested, so the result can come from a start that no record
+    shows, below the last record's ``best_value``.  Deterministic in its
+    inputs, and the reported value is always the exact solver's, never
+    the LP bound.
     """
     ALTERNATE_VERTEX_CAP.check(shape.vertex_count)
+    check_int(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     ladder = _start_ladder(shape, policy)
@@ -377,7 +377,7 @@ def alternate_optimize(
         chain_start = len(trace)
         while len(trace) < max_iters:
             forest = extract_forest(current, policy)
-            signature = forest.signature()
+            signature = frozenset(forest.nodes())
             if signature in seen_signatures:
                 break
             seen_signatures.add(signature)
@@ -434,6 +434,7 @@ def hill_climb(
     check_seed(seed)
     n = shape.vertex_count
     HILL_VERTEX_CAP.check(n)
+    check_int(iters, "iters")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     rng = random.Random(seed)

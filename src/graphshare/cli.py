@@ -41,7 +41,6 @@ from .solve import (
     SOLVE_WARN_VERTICES,
     canonical_strategy,
     format_fraction,
-    format_line,
     solve,
 )
 from .verify import run_suite
@@ -83,9 +82,7 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     if args.start is None:
         out.write(report.render())
         return EXIT_OK
-    entry = report.per_start[args.start]
-    out.write(f"start.{entry.start}.value={format_fraction(entry.value)}\n")
-    out.write(f"start.{entry.start}.line={format_line(entry.line)}\n")
+    out.write(report.per_start[args.start].render())
     out.write(f"policy={policy.value}\n")
     return EXIT_OK
 
@@ -227,7 +224,11 @@ def _parse_param(token: str):
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
-    params = dict(_parse_param(token) for token in args.param or [])
+    params = {}
+    for key, value in map(_parse_param, args.param or []):
+        if key in params:
+            raise _UsageError(f"--param {key} given twice")
+        params[key] = value
     report = run_suite(args.suite, seed=args.seed, size_params=params or None)
     out.write(report.render())
     return EXIT_OK if report.passed else EXIT_SUITE_FAIL

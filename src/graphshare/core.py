@@ -123,18 +123,26 @@ def check_policy(policy: TiePolicy) -> None:
         raise TypeError(f"tie policy {policy!r} is not a TiePolicy")
 
 
-def check_seed(seed: int) -> None:
-    """Raise TypeError if ``seed`` is a bool or ``operator.index``
-    refuses it.  A seeded entry promises results that depend only on its
-    arguments, but ``random.Random(None)`` seeds from the operating
-    system, a float or a string seeds a stream that no int names, and
-    ``True`` would be reported as a seed other than the ``1`` it plays."""
+def check_int(value: int, name: str, kind: str = "an int") -> None:
+    """Raise TypeError, naming the argument ``name``, if ``value`` is a
+    bool or ``operator.index`` refuses it.  A float budget or share
+    would run at a value no int names, and ``True`` would run as ``1``
+    while it reads as a flag."""
     try:
-        if isinstance(seed, bool):
+        if isinstance(value, bool):
             raise TypeError
-        operator.index(seed)
+        operator.index(value)
     except TypeError:
-        raise TypeError(f"seed {seed!r} is not an int") from None
+        raise TypeError(f"{name} {value!r} is not {kind}") from None
+
+
+def check_seed(seed: int) -> None:
+    """``check_int`` for a seed.  A seeded entry promises results that
+    depend only on its arguments, but ``random.Random(None)`` seeds from
+    the operating system, a float or a string seeds a stream that no int
+    names, and ``True`` would be reported as a seed other than the ``1``
+    it plays."""
+    check_int(seed, "seed")
 
 
 def bits(mask: int) -> Iterator[int]:

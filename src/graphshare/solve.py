@@ -38,9 +38,9 @@ reads it back with its child state.  Canonical play (``line``,
 adversary's scenario forest (``ForestNode``) read that record and
 expand no other move.  Second's canonical reply to an opening is the
 second move of the opening's canonical line, which is where
-``response_map`` reads it.  ``moves`` lists the mover's legal moves
-with their child states, lowest vertex id first; ``optimal_responses``
-keeps the replies whose child keeps the opening's value.
+``response_map`` reads it.  ``moves`` lists the legal moves of the
+player its caller names, with child states, lowest vertex id first;
+``optimal_responses`` keeps Second's replies that keep the value.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .core import (
     TieEncounteredError,
     VertexCap,
     bits,
+    check_int,
     check_policy,
     mover_at,
     validate_state,
@@ -194,15 +195,13 @@ class _Search:
         expand = self.expand
         return expand(expand, fm, sm, f, s, reach, key)
 
-    def moves(self, fm: int, sm: int, f: int, s: int, reach: int, key: int):
-        """``(mover, moves)`` at a nonterminal state: the mover from
-        ``core.mover_at``, and ``(vertex, child state)`` for each of its
-        legal moves, lowest vertex id first."""
-        who = mover_at(fm, sm, f, s, self.policy)
-        first = who is FIRST
-        m = reach & ~(fm | sm) if fm | sm else self.full
+    def moves(self, fm: int, sm: int, f: int, s: int, reach: int, key: int, first: bool):
+        """``(vertex, child state)`` for each legal move of First
+        (``first``) or Second at an opened, nonterminal state, lowest
+        vertex id first.  The caller names the mover."""
+        m = reach & ~(fm | sm)
         child = self.child
-        return who, [(v, child(fm, sm, f, s, reach, key, v, first)) for v in bits(m)]
+        return [(v, child(fm, sm, f, s, reach, key, v, first)) for v in bits(m)]
 
     def canonical(self, fm: int, sm: int, f: int, s: int, reach: int, key: int):
         """``(mover, (vertex, child state))`` of the canonical move at a
@@ -251,12 +250,12 @@ class _Search:
             if fm | sm == self.full:
                 nodes[fm, sm] = ForestNode(fm, sm, None, False)
                 continue
-            if mover_at(fm, sm, f, s, self.policy) is FIRST:
-                who, found = self.moves(*state)
+            who = mover_at(fm, sm, f, s, self.policy)
+            if who is FIRST:
+                found = self.moves(*state, True)
             else:
                 self.best(*state)
-                who, move = self.canonical(*state)
-                found = (move,)
+                found = (self.canonical(*state)[1],)
             nodes[fm, sm] = ForestNode(fm, sm, who, f == s)
             # reversed, so the lowest vertex is popped first
             stack.extend(child for _v, child in reversed(found))
@@ -363,6 +362,11 @@ class StartResult:
     value: Fraction
     line: tuple[tuple[Player, int], ...]
 
+    def render(self) -> str:
+        """The opening's value and canonical line, one line each."""
+        value, line = format_fraction(self.value), format_line(self.line)
+        return f"start.{self.start}.value={value}\nstart.{self.start}.line={line}\n"
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -384,15 +388,12 @@ class SolveReport:
     state_count: int
 
     def render(self) -> str:
-        lines = []
-        for entry in self.per_start:
-            lines.append(f"start.{entry.start}.value={format_fraction(entry.value)}")
-            lines.append(f"start.{entry.start}.line={format_line(entry.line)}")
-        lines.append(f"value={format_fraction(self.value)}")
-        lines.append(f"best_start={self.best_start}")
-        lines.append(f"policy={self.policy.value}")
-        lines.append(f"state_count={self.state_count}")
-        return "\n".join(lines) + "\n"
+        return "".join(entry.render() for entry in self.per_start) + (
+            f"value={format_fraction(self.value)}\n"
+            f"best_start={self.best_start}\n"
+            f"policy={self.policy.value}\n"
+            f"state_count={self.state_count}\n"
+        )
 
 
 def format_fraction(value: Fraction) -> str:
@@ -427,10 +428,10 @@ def value_at_least(
     tie is reachable.  A ``T`` outside ``1..total`` is answered without
     a search, since above the total an opening holding exactly half
     would raise instead.  ``share`` must be an int or a ``Fraction``: a
-    float would be decided at a rounded product, so it raises
-    TypeError."""
-    if not isinstance(share, (int, Fraction)):
-        raise TypeError(f"share {share!r} is not an int or a Fraction")
+    float would be decided at a rounded product and ``True`` at share 1,
+    so both raise TypeError."""
+    if not isinstance(share, Fraction):
+        check_int(share, "share", "an int or a Fraction")
     search = _Search(instance, policy)
     target = math.ceil(share * search.total)
     if target <= 0:
@@ -482,7 +483,7 @@ def optimal_responses(
         raise ValueError("responses need at least two vertices")
     opening = search.opening(start)
     keep = search.best(*opening)
-    _who, found = search.moves(*opening)
+    found = search.moves(*opening, False)  # Second holds nothing, so replies
     return tuple(v for v, child in found if search.best(*child) == keep)
 
 

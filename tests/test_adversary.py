@@ -218,7 +218,7 @@ class TestExtractForest:
         inst = gen_cycle7_family(1000)
         a = extract_forest(inst, TiePolicy.FORBID)
         b = extract_forest(inst, TiePolicy.FORBID)
-        assert a.signature() == b.signature()
+        assert frozenset(a.nodes()) == frozenset(b.nodes())
 
 
 def assert_rows_hold(forest, weights, bound):
@@ -413,6 +413,27 @@ class TestTieFreeLift:
             with pytest.raises(TieEncounteredError):
                 solve(inst, policy)
 
+    def test_tied_candidate_is_lifted_through_certified(self, monkeypatch):
+        # the unit 4-cycle ties under forbid; its lift is certified by the
+        # same function, so the module calls solve in one place only
+        calls = {"certified": 0, "solve": 0}
+        certified, exact = adversary._certified, adversary.solve
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(adversary, "_certified", counted("certified", certified))
+        monkeypatch.setattr(adversary, "solve", counted("solve", exact))
+        shape, base = GraphShape.cycle(4), (1, 1, 1, 1)
+        instance, value = _certify_candidate(shape, base, TiePolicy.FORBID)
+        assert instance.weights == _tie_free_lift(base)
+        assert value == solve(instance, TiePolicy.FORBID).value
+        assert calls == {"certified": 2, "solve": 2}
+
 
 class TestAlternateOptimize:
     def test_cycle7_forbid_beats_point_35(self):
@@ -504,6 +525,16 @@ class TestAlternateOptimize:
         big = GraphShape.cycle(ALTERNATE_VERTEX_CAP + 1)
         with pytest.raises(InstanceTooLargeError):
             alternate_optimize(big, TiePolicy.FORBID)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True, "3"])
+    def test_a_budget_that_is_not_an_int_is_refused(self, max_iters, monkeypatch):
+        # a float budget would run as given and True as a budget of 1
+        def unused(*args):
+            raise AssertionError("solved before the budget was checked")
+
+        monkeypatch.setattr(adversary, "solve", unused)
+        with pytest.raises(TypeError, match=f"max_iters {max_iters!r} is not an int"):
+            alternate_optimize(GraphShape.cycle(5), TiePolicy.FORBID, max_iters)
 
 
 def _record(iteration, lp_bound, candidate_value, best_value):
@@ -607,6 +638,17 @@ class TestHillClimb:
     def test_refuses_no_iterations(self, iters):
         with pytest.raises(ValueError, match="iters must be at least 1"):
             hill_climb(GraphShape.cycle(7), TiePolicy.FORBID, seed=0, iters=iters)
+
+    @pytest.mark.parametrize("iters", [2.5, True, "3"])
+    def test_a_budget_that_is_not_an_int_is_refused(self, iters, monkeypatch):
+        # 2.5 would certify every base, then fail inside range(); True
+        # would run a budget of 1
+        def unused(*args):
+            raise AssertionError("solved before the budget was checked")
+
+        monkeypatch.setattr(adversary, "solve", unused)
+        with pytest.raises(TypeError, match=f"iters {iters!r} is not an int"):
+            hill_climb(GraphShape.cycle(5), TiePolicy.FORBID, seed=0, iters=iters)
 
     def test_size_cap_checked_before_iters(self):
         big = GraphShape.cycle(HILL_VERTEX_CAP + 1)

@@ -68,6 +68,15 @@ class TestSolveCommand:
         assert out[1].startswith("start.3.line=F3,")
         assert out[2] == "policy=forbid"
 
+    def test_start_lines_are_the_full_reports(self, cycle7_file, capsys):
+        # one writer, StartResult.render, serves both outputs
+        assert main(["solve", cycle7_file]) == EXIT_OK
+        full = capsys.readouterr().out.splitlines()
+        for start in range(7):
+            assert main(["solve", cycle7_file, "--start", str(start)]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            assert out[:2] == full[2 * start : 2 * start + 2]
+
     def test_bad_start(self, cycle7_file, capsys):
         assert main(["solve", cycle7_file, "--start", "11"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -283,6 +292,16 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         err = assert_one_line_error(capsys)
         assert "cannot parse" in err or repr(key) in err
+
+    def test_repeated_param_key_is_refused(self, capsys, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("a suite ran with a repeated key")
+
+        monkeypatch.setattr(cli, "run_suite", unused)
+        argv = ["verify", "--suite", "edge-family"]
+        argv += ["--param", "k_max=2", "--param", "k_max=3"]
+        assert main(argv) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == "error: --param k_max given twice\n"
 
     def test_unknown_param_key(self, capsys):
         code = main(["verify", "--suite", "edge-family", "--param", "bogus=3"])

@@ -395,7 +395,10 @@ def test_optimal_moves_are_the_value_keeping_moves(inst):
                     inst.reach_mask(fm | sm),
                     _closed_form_key(search, carried),
                 )
-            assert search.moves(*here) == (who, legal)
+            # moves lists the legal moves of the player its caller names,
+            # and both callers name it at opened states only
+            if state.taken_mask:
+                assert search.moves(*here, who is Player.FIRST) == legal
             search.best(*here)
             assert search.canonical(*here) == (who, expected[0])
 
@@ -891,6 +894,12 @@ class TestFloorDecision:
             value_at_least(edge, TiePolicy.FORBID, 0.8)
         assert value_at_least(edge, TiePolicy.FORBID, Fraction(4, 5))
         assert value_at_least(edge, TiePolicy.FORBID, 1) is False
+
+    def test_bool_share_is_refused(self):
+        # True would decide the game at share 1
+        edge = path([1, 4])
+        with pytest.raises(TypeError, match="share True is not an int or a Fraction"):
+            value_at_least(edge, TiePolicy.FORBID, True)
 
     def test_decision_stores_far_fewer_entries_than_solve(self, decision_tables):
         inst = gen_random_connected(12, 1, 0, 10**9)
