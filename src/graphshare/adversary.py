@@ -44,7 +44,6 @@ from .core import (
     VertexCap,
     bits,
     check_int,
-    check_seed,
 )
 from .generators import gen_cycle7_family
 from .simplex import _over_lcm, solve_lp
@@ -431,7 +430,7 @@ def hill_climb(
     restarts from a perturbed copy of the incumbent.  Deterministic in
     (shape, policy, seed, iters).
     """
-    check_seed(seed)
+    check_int(seed, "seed")
     n = shape.vertex_count
     HILL_VERTEX_CAP.check(n)
     check_int(iters, "iters")

@@ -53,10 +53,6 @@ EXIT_TIE = 3
 _POLICY_CHOICES = sorted(policy.value for policy in TiePolicy)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_instance(handle.read())
@@ -69,9 +65,9 @@ def _read_instance(path: str) -> Instance:
 def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     instance = _read_instance(args.file)
     if args.start is not None and not 0 <= args.start < instance.vertex_count:
-        raise _UsageError(f"start vertex {args.start} does not exist")
-    SOLVE_VERTEX_CAP.check(instance.vertex_count)
-    if instance.vertex_count > SOLVE_WARN_VERTICES:
+        raise GraphShareError(f"start vertex {args.start} does not exist")
+    # above the cap the solver refuses, with no warning first
+    if SOLVE_WARN_VERTICES < instance.vertex_count <= SOLVE_VERTEX_CAP:
         print(
             f"warning: {instance.vertex_count} vertices; exact solving "
             "may take a while",
@@ -209,7 +205,7 @@ def _cmd_play(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _parse_param(token: str):
     if "=" not in token:
-        raise _UsageError(f"--param needs key=value, got {token!r}")
+        raise GraphShareError(f"--param needs key=value, got {token!r}")
     key, text = token.split("=", 1)
     try:
         if "/" in text:
@@ -220,14 +216,14 @@ def _parse_param(token: str):
             return key, tuple(int(part) for part in text.removesuffix(",").split(","))
         return key, int(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"cannot parse --param value {text!r}") from None
+        raise GraphShareError(f"cannot parse --param value {text!r}") from None
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     params = {}
     for key, value in map(_parse_param, args.param or []):
         if key in params:
-            raise _UsageError(f"--param {key} given twice")
+            raise GraphShareError(f"--param {key} given twice")
         params[key] = value
     report = run_suite(args.suite, seed=args.seed, size_params=params or None)
     out.write(report.render())
@@ -245,19 +241,19 @@ def _parse_kind(kind: str, seed: int | None) -> Instance:
             return gen_cycle7_family(int(rest))
         if name == "tree":
             if seed is None:
-                raise _UsageError("--seed is required for kind tree")
+                raise GraphShareError("--seed is required for kind tree")
             return gen_random_tree(int(rest), seed, 10**9)
         if name == "connected":
             n_text, extra_text = rest.split(",", 1)
             if seed is None:
-                raise _UsageError("--seed is required for kind connected")
+                raise GraphShareError("--seed is required for kind connected")
             return gen_random_connected(int(n_text), int(extra_text), seed, 10**9)
         if name == "edge":
             a_text, b_text = rest.split(",", 1)
             return Instance(weights=(int(a_text), int(b_text)), edges=((0, 1),))
     except (ValueError, TypeError) as exc:
-        raise _UsageError(f"bad --kind argument {kind!r}: {exc}") from exc
-    raise _UsageError(
+        raise GraphShareError(f"bad --kind argument {kind!r}: {exc}") from exc
+    raise GraphShareError(
         f"unknown kind {name!r}; expected cycle7:<M>, tree:<n>, "
         "connected:<n>,<extra>, or edge:<a>,<b>"
     )
@@ -292,13 +288,13 @@ def _parse_shapes(token: str, cap: VertexCap) -> list[GraphShape]:
     built or enumerated."""
     name, colon, rest = token.partition(":")
     if name not in ("cycle7", "cycle", "tree-enum", "edge"):
-        raise _UsageError(
+        raise GraphShareError(
             f"unknown shape {token!r}; expected cycle7, cycle:<n>, "
             "tree-enum:<n>, or edge"
         )
     fixed = {"cycle7": 7, "edge": 2}
     if name in fixed and colon:
-        raise _UsageError(f"bad --shape argument {token!r}: {name} takes no count")
+        raise GraphShareError(f"bad --shape argument {token!r}: {name} takes no count")
     try:
         n = fixed.get(name) or int(rest)
         cap.check(n)
@@ -308,7 +304,7 @@ def _parse_shapes(token: str, cap: VertexCap) -> list[GraphShape]:
             return list(tree_shapes(n))
         return [GraphShape.cycle(n)]
     except ValueError as exc:
-        raise _UsageError(f"bad --shape argument {token!r}: {exc}") from exc
+        raise GraphShareError(f"bad --shape argument {token!r}: {exc}") from exc
 
 
 def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
@@ -317,12 +313,12 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     options = {}
     if args.method == "hill":
         if args.seed is None:
-            raise _UsageError("--seed is required for method hill")
+            raise GraphShareError("--seed is required for method hill")
         options["seed"] = args.seed
     # Without --iters each search keeps its own default budget.
     if args.iters is not None:
         if args.iters < 1:
-            raise _UsageError(f"--iters must be at least 1, got {args.iters}")
+            raise GraphShareError(f"--iters must be at least 1, got {args.iters}")
         options[budget] = args.iters
     shapes = _parse_shapes(args.shape, cap)
     # the first shape wins a tie on value
@@ -414,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except TieEncounteredError:
         print("aborted: totals tied under the forbid policy", file=sys.stderr)
         return EXIT_TIE
-    except (_UsageError, GraphShareError, OSError, UnicodeDecodeError) as exc:
+    except (GraphShareError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

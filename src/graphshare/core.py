@@ -125,24 +125,18 @@ def check_policy(policy: TiePolicy) -> None:
 
 def check_int(value: int, name: str, kind: str = "an int") -> None:
     """Raise TypeError, naming the argument ``name``, if ``value`` is a
-    bool or ``operator.index`` refuses it.  A float budget or share
-    would run at a value no int names, and ``True`` would run as ``1``
-    while it reads as a flag."""
+    bool or ``operator.index`` refuses it.  A float budget, count or
+    share would run at a value no int names, and ``True`` would run as
+    ``1`` while it reads as a flag.  For a seed, ``random.Random(None)``
+    seeds from the operating system, and a float or a string seeds a
+    stream that no int names, so a seeded result would depend on more
+    than its arguments."""
     try:
         if isinstance(value, bool):
             raise TypeError
         operator.index(value)
     except TypeError:
         raise TypeError(f"{name} {value!r} is not {kind}") from None
-
-
-def check_seed(seed: int) -> None:
-    """``check_int`` for a seed.  A seeded entry promises results that
-    depend only on its arguments, but ``random.Random(None)`` seeds from
-    the operating system, a float or a string seeds a stream that no int
-    names, and ``True`` would be reported as a seed other than the ``1``
-    it plays."""
-    check_int(seed, "seed")
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -17,7 +17,7 @@ from .core import (
     Instance,
     TiePolicy,
     TieEncounteredError,
-    check_seed,
+    check_int,
 )
 from .solve import solve
 
@@ -91,7 +91,7 @@ def gen_random_connected(
 ) -> Instance:
     """Seeded connected graph: a random spanning tree plus ``extra_edges``
     distinct non-tree edges sampled uniformly."""
-    check_seed(seed)
+    check_int(seed, "seed")
     _check_weight_args(n, weight_max)
     cap = n * (n - 1) // 2 - (n - 1)
     if not 0 <= extra_edges <= cap:

@@ -51,7 +51,6 @@ from fractions import Fraction
 
 from .core import (
     FIRST,
-    SECOND,
     GameState,
     Instance,
     Player,
@@ -215,9 +214,8 @@ class _Search:
             v = (m & -m).bit_length() - 1
         else:
             v = self.canon[key]
-        first = f < s or (f == s and mover_at(fm, sm, f, s, self.policy) is FIRST)
-        move = v, self.child(fm, sm, f, s, reach, key, v, first)
-        return (FIRST if first else SECOND), move
+        who = mover_at(fm, sm, f, s, self.policy)
+        return who, (v, self.child(fm, sm, f, s, reach, key, v, who is FIRST))
 
     def opening(self, v: int) -> tuple[int, int, int, int, int, int]:
         """The search state after First opens at ``v``."""

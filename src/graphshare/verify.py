@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .adversary import ALTERNATE_VERTEX_CAP, alternate_optimize, hill_climb, tree_shapes
-from .core import GraphShareError, Instance, Player, TiePolicy, VertexCap, check_seed
+from .core import GraphShareError, Instance, Player, TiePolicy, VertexCap, check_int
 from .generators import (
     gen_cycle7_family,
     gen_random_connected,
@@ -496,7 +496,7 @@ def run_suite(name: str, seed: int = 0, size_params: dict | None = None) -> Suit
     default's or out of range, raises GraphShareError.  The report
     depends only on ``(name, seed, size_params)``.
     """
-    check_seed(seed)
+    check_int(seed, "seed")
     if name not in _SUITES:
         raise UnknownSuiteError(name)
     suite, cap, defaults = _SUITES[name]
