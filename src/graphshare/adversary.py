@@ -76,6 +76,7 @@ class GraphShape:
 
     @classmethod
     def cycle(cls, n: int) -> "GraphShape":
+        check_int(n, "n")
         if n < 3:
             raise ValueError("a cycle needs at least three vertices")
         return cls(n, tuple((v, (v + 1) % n) for v in range(n)))
@@ -90,6 +91,7 @@ def tree_shapes(n: int):
     built lazily.  Rejects n < 1 at the call.  The count grows
     exponentially in n, so callers check their vertex cap first.  Only
     n >= 2 loads networkx."""
+    check_int(n, "n")
     if n < 1:
         raise ValueError(f"a tree needs at least 1 vertex, got {n}")
     if n == 1:

@@ -315,6 +315,8 @@ def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
         if args.seed is None:
             raise GraphShareError("--seed is required for method hill")
         options["seed"] = args.seed
+    elif args.seed is not None:
+        raise GraphShareError(f"--seed is for method hill only, not {args.method}")
     # Without --iters each search keeps its own default budget.
     if args.iters is not None:
         if args.iters < 1:

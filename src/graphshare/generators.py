@@ -91,7 +91,10 @@ def gen_random_connected(
 ) -> Instance:
     """Seeded connected graph: a random spanning tree plus ``extra_edges``
     distinct non-tree edges sampled uniformly."""
+    check_int(n, "n")
+    check_int(extra_edges, "extra_edges")
     check_int(seed, "seed")
+    check_int(weight_max, "weight_max")
     _check_weight_args(n, weight_max)
     cap = n * (n - 1) // 2 - (n - 1)
     if not 0 <= extra_edges <= cap:

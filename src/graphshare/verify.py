@@ -50,6 +50,7 @@ from typing import Callable, Iterator
 from .adversary import ALTERNATE_VERTEX_CAP, alternate_optimize, hill_climb, tree_shapes
 from .core import GraphShareError, Instance, Player, TiePolicy, VertexCap, check_int
 from .generators import (
+    CYCLE7_MIN_M,
     gen_cycle7_family,
     gen_random_connected,
     gen_random_tree,
@@ -463,8 +464,8 @@ SUITE_NAMES = tuple(_SUITES)
 def _check_param(suite: str, key: str, value, default, cap: _Cap | None) -> None:
     """Reject an override whose type differs from its default's (an int
     may stand for a Fraction), a share outside [0, 1], any size below 1,
-    a ``max_vertices`` below 2 and a vertex count above the suite's
-    cap."""
+    a ``max_vertices`` below 2, an ``m_values`` entry below
+    ``CYCLE7_MIN_M`` and a vertex count above the suite's cap."""
     prefix = f"parameter {key!r} of suite {suite!r} must be"
     if type(default) is Fraction:
         if type(value) not in (int, Fraction):
@@ -478,7 +479,7 @@ def _check_param(suite: str, key: str, value, default, cap: _Cap | None) -> None
     if type(value) is not type(default) or any(type(n) is not int for n in sizes):
         kind = "a tuple of ints" if type(default) is tuple else "an int"
         raise GraphShareError(f"{prefix} {kind}, got {value!r}")
-    floor = 2 if key == "max_vertices" else 1
+    floor = {"max_vertices": 2, "m_values": CYCLE7_MIN_M}.get(key, 1)
     if not sizes or min(sizes) < floor:
         raise GraphShareError(f"{prefix} at least {floor}, got {value!r}")
     if cap and key == cap[0] and value > cap[1]:

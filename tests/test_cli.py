@@ -28,6 +28,8 @@ from graphshare.generators import gen_cycle7_family
 from graphshare.instance_io import format_instance, parse_instance
 
 TRIANGLE = Instance(weights=(1, 2, 4), edges=((0, 1), (1, 2), (0, 2)))
+# hill requires a seed and alt refuses one
+HILL_SEED = {"alt": [], "hill": ["--seed", "1"]}
 EDGE12 = Instance(weights=(1, 2), edges=((0, 1),))
 
 
@@ -381,11 +383,21 @@ class TestAdversaryCommand:
         assert main(["adversary", "--shape", "tree-enum:0"]) == EXIT_USAGE
         assert_one_line_error(capsys)
 
+    def test_seed_for_alt_is_refused(self, capsys):
+        # alt reads no seed, so seed=7 would be printed beside a result
+        # the seed did not shape
+        argv = ["adversary", "--shape", "edge", "--method", "alt", "--seed", "7"]
+        assert main(argv) == EXIT_USAGE
+        assert "--seed" in assert_one_line_error(capsys)
+        # the refusal comes before --iters and before the shape is parsed
+        assert main(argv + ["--iters", "0", "--shape", "nope"]) == EXIT_USAGE
+        assert "--seed" in assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("method", ["alt", "hill"])
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_iters_below_one(self, method, iters, capsys):
         argv = ["adversary", "--shape", "cycle7", "--method", method,
-                "--seed", "1", "--iters", iters]
+                *HILL_SEED[method], "--iters", iters]
         assert main(argv) == EXIT_USAGE
         assert "--iters must be at least 1" in assert_one_line_error(capsys)
 
@@ -397,7 +409,7 @@ class TestAdversaryCommand:
         # the token's vertex count meets the cap before any tree is
         # built; enumerating all trees on 40 vertices would not finish
         argv = ["adversary", "--shape", "tree-enum:40", "--method", method,
-                "--seed", "1"]
+                *HILL_SEED[method]]
         assert main(argv) == EXIT_USAGE
         assert cap in assert_one_line_error(capsys)
 
@@ -415,7 +427,7 @@ class TestAdversaryCommand:
             raise AssertionError(f"cycle of {n} vertices built")
 
         monkeypatch.setattr(GraphShape, "cycle", refuse)
-        argv = ["adversary", "--shape", shape, "--method", method, "--seed", "1"]
+        argv = ["adversary", "--shape", shape, "--method", method, *HILL_SEED[method]]
         assert main(argv) == EXIT_USAGE
         assert cap in assert_one_line_error(capsys)
         # the other argument checks still come first, as they did when

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -31,6 +32,7 @@ from graphshare.adversary import (
     alternate_optimize,
     extract_forest,
     hill_climb,
+    tree_shapes,
 )
 from graphshare.generators import (
     gen_cycle7_family,
@@ -961,3 +963,35 @@ def test_a_seed_that_is_not_an_int_is_refused(name, seed):
     SEED_ENTRIES[name](7)
     with pytest.raises(TypeError, match=f"seed {seed!r} is not an int"):
         SEED_ENTRIES[name](seed)
+
+
+# each entry takes the count as its one argument; a valid count is 7
+COUNT_ENTRIES = {
+    "gen_random_connected.n": ("n", lambda n: gen_random_connected(n, 0, 1, 10**9)),
+    "gen_random_connected.extra_edges": (
+        "extra_edges",
+        lambda extra: gen_random_connected(9, extra, 1, 10**9),
+    ),
+    "gen_random_connected.weight_max": (
+        "weight_max",
+        lambda weight_max: gen_random_connected(6, 1, 1, weight_max),
+    ),
+    "gen_random_tree.n": ("n", lambda n: gen_random_tree(n, 1, 10**9)),
+    "gen_random_tree.weight_max": (
+        "weight_max",
+        lambda weight_max: gen_random_tree(6, 1, weight_max),
+    ),
+    "tree_shapes.n": ("n", tree_shapes),
+    "GraphShape.cycle.n": ("n", GraphShape.cycle),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+@pytest.mark.parametrize("count", [None, 1.5, "7", True])
+def test_a_count_that_is_not_an_int_is_refused(entry, count):
+    # True would build a 1-vertex instance or tree, and a float either
+    # runs at a count no int names or fails deep inside range()
+    name, call = COUNT_ENTRIES[entry]
+    call(7)
+    with pytest.raises(TypeError, match=re.escape(f"{name} {count!r} is not an int")):
+        call(count)

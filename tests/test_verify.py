@@ -161,6 +161,21 @@ def test_fraction_parameter_of_another_type_is_refused():
     )
 
 
+def test_cycle7_m_below_the_validated_minimum_is_refused_before_any_case(monkeypatch):
+    # the generator refuses m < 96 too, but only when the suite reaches
+    # that entry, after the entries before it have been solved
+    def unused(*args):
+        raise AssertionError("a cycle7-family case ran")
+
+    monkeypatch.setattr(verify, "solve", unused)
+    with pytest.raises(GraphShareError) as refused:
+        run_suite("cycle7-family", size_params={"m_values": (1000, 50)})
+    assert str(refused.value) == (
+        "parameter 'm_values' of suite 'cycle7-family' must be at least 96, "
+        "got (1000, 50)"
+    )
+
+
 def test_tie_tree_search_failure_is_reproducible():
     # five-vertex trees cannot reach the default threshold, so the suite
     # must fail and hand back the best instance it found
