@@ -58,6 +58,15 @@ def _read_instance(path: str) -> Instance:
         return parse_instance(handle.read())
 
 
+def _check_seed(seed: int | None, label: str, name: str, seeded: tuple) -> None:
+    """The one ``--seed`` rule: ``seeded`` variants require it, others refuse it."""
+    if seed is None and name in seeded:
+        raise GraphShareError(f"--seed is required for {label} {name}")
+    if seed is not None and name not in seeded:
+        only = " or ".join(seeded)
+        raise GraphShareError(f"--seed is for {label} {only} only, not {name}")
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -108,12 +117,13 @@ def run_play(
     The human is prompted whenever the rules make them the mover;
     illegal entries re-prompt.  Returns the final Outcome, or None when
     the input ends mid-game.  The game loop itself is ``play_out``: this
-    function only supplies strategies and narration.  Under forbid, a
-    reachable tie raises TieEncounteredError before the first move.
+    function only supplies strategies and narration.  The optimal share
+    is the one engine's play against itself: its first move searches all
+    openings, so a tie under forbid raises TieEncounteredError first.
     """
     total = instance.total_weight
     engine = canonical_strategy(instance, policy)
-    optimal = solve(instance, policy).value
+    optimal = play_out(instance, policy, engine, engine).first_value
 
     def show_state(state: GameState) -> None:
         f, s = state.totals(instance)
@@ -173,12 +183,10 @@ def run_play(
         f"second[{_vertex_list(outcome.second_set)}]="
         f"{format_fraction(1 - outcome.first_value)}\n"
     )
-    human_score = (
-        outcome.first_value
-        if human_side is Player.FIRST
-        else 1 - outcome.first_value
-    )
-    engine_optimal = optimal if human_side is Player.FIRST else 1 - optimal
+    def side_share(first_value: Fraction) -> Fraction:
+        return first_value if human_side is Player.FIRST else 1 - first_value
+
+    human_score, engine_optimal = side_share(outcome.first_value), side_share(optimal)
     relation = (
         "matches"
         if human_score == engine_optimal
@@ -236,27 +244,24 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _parse_kind(kind: str, seed: int | None) -> Instance:
     name, _, rest = kind.partition(":")
+    if name not in ("cycle7", "tree", "connected", "edge"):
+        raise GraphShareError(
+            f"unknown kind {name!r}; expected cycle7:<M>, tree:<n>, "
+            "connected:<n>,<extra>, or edge:<a>,<b>"
+        )
+    _check_seed(seed, "kind", name, ("tree", "connected"))
     try:
         if name == "cycle7":
             return gen_cycle7_family(int(rest))
         if name == "tree":
-            if seed is None:
-                raise GraphShareError("--seed is required for kind tree")
             return gen_random_tree(int(rest), seed, 10**9)
         if name == "connected":
             n_text, extra_text = rest.split(",", 1)
-            if seed is None:
-                raise GraphShareError("--seed is required for kind connected")
             return gen_random_connected(int(n_text), int(extra_text), seed, 10**9)
-        if name == "edge":
-            a_text, b_text = rest.split(",", 1)
-            return Instance(weights=(int(a_text), int(b_text)), edges=((0, 1),))
+        a_text, b_text = rest.split(",", 1)
+        return Instance(weights=(int(a_text), int(b_text)), edges=((0, 1),))
     except (ValueError, TypeError) as exc:
         raise GraphShareError(f"bad --kind argument {kind!r}: {exc}") from exc
-    raise GraphShareError(
-        f"unknown kind {name!r}; expected cycle7:<M>, tree:<n>, "
-        "connected:<n>,<extra>, or edge:<a>,<b>"
-    )
 
 
 def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
@@ -310,13 +315,8 @@ def _parse_shapes(token: str, cap: VertexCap) -> list[GraphShape]:
 def _cmd_adversary(args: argparse.Namespace, out: IO[str]) -> int:
     search, cap, budget = _METHODS[args.method]
     policy = TiePolicy(args.policy)
-    options = {}
-    if args.method == "hill":
-        if args.seed is None:
-            raise GraphShareError("--seed is required for method hill")
-        options["seed"] = args.seed
-    elif args.seed is not None:
-        raise GraphShareError(f"--seed is for method hill only, not {args.method}")
+    _check_seed(args.seed, "method", args.method, ("hill",))
+    options = {} if args.seed is None else {"seed": args.seed}
     # Without --iters each search keeps its own default budget.
     if args.iters is not None:
         if args.iters < 1:

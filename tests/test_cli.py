@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import os
 import re
@@ -194,6 +195,21 @@ class TestGenCommand:
         assert main(["gen", "--kind", kind, "--seed", "1"]) == EXIT_USAGE
         message = "65 vertices exceed the bitmask encoding cap of 64"
         assert message in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("kind", ["cycle7:1000", "edge:3,4"])
+    def test_seed_for_a_seedless_kind_is_refused(
+        self, kind, tmp_path, capsys, monkeypatch
+    ):
+        # the instance would not depend on the seed, so nothing is built
+        monkeypatch.setattr(cli, "gen_cycle7_family", None)
+        monkeypatch.setattr(cli, "Instance", None)
+        assert main(["gen", "--kind", kind, "--seed", "5"]) == EXIT_USAGE
+        assert "--seed" in assert_one_line_error(capsys)
+        target = tmp_path / "inst.txt"
+        argv = ["gen", "--kind", kind, "--seed", "5", "-o", str(target)]
+        assert main(argv) == EXIT_USAGE
+        assert "--seed" in assert_one_line_error(capsys)
+        assert not target.exists()
 
     def test_bad_kinds(self, capsys):
         assert main(["gen", "--kind", "torus:5"]) == EXIT_USAGE
@@ -457,6 +473,32 @@ class TestPlayCommand:
         out = capsys.readouterr().out
         assert "engine (F) takes 1 (weight 2)" in out
         assert "your share 1/3 matches the optimal 1/3 for your side" in out
+
+    @pytest.mark.parametrize(
+        "instance, side, moves",
+        [
+            (TRIANGLE, Player.FIRST, "2\n"),
+            (gen_cycle7_family(1000), Player.SECOND, "4\n5\n0\n"),
+        ],
+        ids=["human-first", "human-second"],
+    )
+    def test_one_search_per_game(self, instance, side, moves, monkeypatch):
+        # the engine's own play is the optimal share, so no second search
+        # is built; the package binds the name solve to the function, so
+        # the module is reached by name
+        searches = importlib.import_module("graphshare.solve")._Search
+        built = []
+        init = searches.__init__
+
+        def counted(search, *args):
+            built.append(search)
+            init(search, *args)
+
+        monkeypatch.setattr(searches, "__init__", counted)
+        stdin, stdout = io.StringIO(moves), io.StringIO()
+        outcome = run_play(instance, TiePolicy.FORBID, side, stdin, stdout)
+        assert outcome is not None
+        assert len(built) == 1
 
     def test_eof_aborts_cleanly(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, TRIANGLE)
