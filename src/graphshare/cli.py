@@ -242,25 +242,42 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
 # gen
 
 
+# Each --kind's numbers, in the form a parse error names.
+_KIND_FORMS = {
+    "cycle7": "<M>",
+    "tree": "<n>",
+    "connected": "<n>,<extra>",
+    "edge": "<a>,<b>",
+}
+
+
 def _parse_kind(kind: str, seed: int | None) -> Instance:
+    """The instance a ``--kind`` token names.  The kind name is checked
+    first, then ``--seed``, then the numbers' form, all before the
+    generator runs; the generator's own refusals name their value."""
     name, _, rest = kind.partition(":")
-    if name not in ("cycle7", "tree", "connected", "edge"):
+    if name not in _KIND_FORMS:
         raise GraphShareError(
             f"unknown kind {name!r}; expected cycle7:<M>, tree:<n>, "
             "connected:<n>,<extra>, or edge:<a>,<b>"
         )
     _check_seed(seed, "kind", name, ("tree", "connected"))
+    form = _KIND_FORMS[name]
+    try:
+        numbers = tuple(int(text) for text in rest.split(","))
+    except ValueError:
+        numbers = ()
+    if len(numbers) != form.count("<"):
+        raise GraphShareError(f"bad --kind argument {kind!r}: expected {name}:{form}")
     try:
         if name == "cycle7":
-            return gen_cycle7_family(int(rest))
+            return gen_cycle7_family(*numbers)
         if name == "tree":
-            return gen_random_tree(int(rest), seed, 10**9)
+            return gen_random_tree(*numbers, seed, 10**9)
         if name == "connected":
-            n_text, extra_text = rest.split(",", 1)
-            return gen_random_connected(int(n_text), int(extra_text), seed, 10**9)
-        a_text, b_text = rest.split(",", 1)
-        return Instance(weights=(int(a_text), int(b_text)), edges=((0, 1),))
-    except (ValueError, TypeError) as exc:
+            return gen_random_connected(*numbers, seed, 10**9)
+        return Instance(weights=numbers, edges=((0, 1),))
+    except ValueError as exc:
         raise GraphShareError(f"bad --kind argument {kind!r}: {exc}") from exc
 
 

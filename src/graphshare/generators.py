@@ -39,8 +39,10 @@ def gen_cycle7_family(m: int) -> Instance:
     Weights around the cycle are (m, m+15, 17, 7, 12, m+26, 18), total
     3m + 95.  For m >= 96 no two vertex sets that can face each other in
     play have equal weight, so play is tie-free, and First cannot secure
-    more than m + 69 of the total.  Smaller m is rejected.
+    more than m + 69 of the total.  Smaller m is rejected, and an m that
+    is not an int raises TypeError.
     """
+    check_int(m, "m")
     if m < CYCLE7_MIN_M:
         raise MTooSmallError(f"m={m} is below the validated minimum {CYCLE7_MIN_M}")
     weights = (m, m + 15, 17, 7, 12, m + 26, 18)

@@ -216,6 +216,25 @@ class TestGenCommand:
         assert main(["gen", "--kind", "cycle7"]) == EXIT_USAGE
         assert main(["gen", "--kind", "cycle7:10"]) == EXIT_USAGE  # m too small
 
+    @pytest.mark.parametrize(
+        "kind, form",
+        [
+            ("edge:3", "edge:<a>,<b>"),
+            ("edge:3,4,5", "edge:<a>,<b>"),
+            ("connected:5", "connected:<n>,<extra>"),
+            ("tree:5,3", "tree:<n>"),
+            ("cycle7:", "cycle7:<M>"),
+        ],
+    )
+    def test_malformed_kind_names_its_form(self, kind, form, capsys):
+        # the numbers are parsed before the generator runs, so the
+        # message names the expected form, not Python's unpacking error
+        seeded = kind.startswith(("tree", "connected"))
+        argv = ["gen", "--kind", kind] + (["--seed", "1"] if seeded else [])
+        assert main(argv) == EXIT_USAGE
+        expected = f"error: bad --kind argument {kind!r}: expected {form}\n"
+        assert assert_one_line_error(capsys) == expected
+
 
 class TestVerifyCommand:
     def test_passing_suite(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,13 @@ class TestCycle7Family:
     def test_below_minimum_rejected(self):
         with pytest.raises(MTooSmallError):
             gen_cycle7_family(CYCLE7_MIN_M - 1)
+
+    @pytest.mark.parametrize("m", [None, 1000.0, "1000", True])
+    def test_non_int_m_is_refused_by_name(self, m):
+        # a float would fail on a weight, a string on the range check,
+        # and True would read as m=1 below the minimum
+        with pytest.raises(TypeError, match=re.escape(f"m {m!r} is not an int")):
+            gen_cycle7_family(m)
 
 
 class TestRandomTree:
