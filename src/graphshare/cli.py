@@ -3,12 +3,15 @@
 Every command is deterministic given its flags, seeds, and input files;
 randomized commands require an explicit ``--seed``.  Exit codes: 0 for
 success or a passing suite, 1 for a failing suite, 2 for usage or parse
-errors, 3 when the forbid policy aborts on a tie.
+errors, 3 when the forbid policy aborts on a tie, and 141 (128 + SIGPIPE,
+what a shell reports for other tools) when the reader closes the output
+pipe early, as ``| head`` does; that exit is silent.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import IO, Iterable
@@ -49,6 +52,7 @@ EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TIE = 3
+EXIT_PIPE = 141
 
 _POLICY_CHOICES = sorted(policy.value for policy in TiePolicy)
 
@@ -421,11 +425,29 @@ _COMMANDS = {
 }
 
 
+def _discard_output(stream: IO[str]) -> None:
+    """Point ``stream``'s descriptor, if it has one, at ``os.devnull``,
+    so the interpreter's last flush of the unwritten output stays quiet
+    (the SIGPIPE note in Python's ``signal`` documentation)."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        status = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        _discard_output(sys.stdout)
+        return EXIT_PIPE
     except TieEncounteredError:
         print("aborted: totals tied under the forbid policy", file=sys.stderr)
         return EXIT_TIE

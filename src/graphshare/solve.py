@@ -33,14 +33,19 @@ of its own, so most states are skipped, and with them some ties (see
 
 As the value search searches a state it records the state's canonical
 move, the lowest-id move whose child keeps the value, and ``canonical``
-reads it back with its child state.  Canonical play (``line``,
-``principal_line``, ``canonical_strategy``) and Second's states in the
-adversary's scenario forest (``ForestNode``) read that record and
-expand no other move.  Second's canonical reply to an opening is the
-second move of the opening's canonical line, which is where
-``response_map`` reads it.  ``moves`` lists the legal moves of the
-player its caller names, with child states, lowest vertex id first;
-``optimal_responses`` keeps Second's replies that keep the value.
+reads it back with its child state.  Canonical play (``walk``, and so
+``line``, ``principal_line`` and ``solve``'s lines, and
+``canonical_strategy``) and Second's states in the adversary's scenario
+forest (``ForestNode``) read that record and expand no other move.
+``walk`` steps ``canonical`` from a searched opening to the end of the
+game and holds each move as the module's one ``(player, vertex)``
+record for it, so all lines share their moves; ``line`` is
+``opening``, ``best`` and ``walk``.  Second's canonical reply to an
+opening is the second move of the opening's canonical line, which is
+where ``response_map`` reads it.  ``moves`` lists the legal moves of
+the player its caller names, with child states, lowest vertex id
+first; ``optimal_responses`` keeps Second's replies that keep the
+value.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from fractions import Fraction
 
 from .core import (
     FIRST,
+    SECOND,
     GameState,
     Instance,
     Player,
@@ -67,6 +73,11 @@ from .core import (
 SOLVE_VERTEX_CAP = VertexCap(18, "solver")
 SOLVE_WARN_VERTICES = 16
 _BITS = tuple(1 << i for i in range(2 * SOLVE_VERTEX_CAP))
+# one shared ``(player, vertex)`` record per move, held by every
+# canonical line, so a line costs one tuple and no record per move
+_MOVES = {
+    who: tuple((who, v) for v in range(SOLVE_VERTEX_CAP)) for who in (FIRST, SECOND)
+}
 
 
 @dataclass(frozen=True)
@@ -103,8 +114,11 @@ class _Search:
     ``best`` hands a memo miss to ``expand``, which ``__init__`` builds
     once over those tables with ``_expander``; the floor decision
     ``value_at_least`` builds another over a fresh table.  Per opening,
-    ``line`` reads canonical play and ``forest`` the scenario forest,
-    First's states by ``moves`` and Second's by ``canonical``.
+    ``walk`` reads canonical play from the opening's searched state,
+    by ``canonical``, and ``line`` is ``opening`` + ``best`` + ``walk``;
+    ``solve`` hands ``walk`` the states it has searched.  ``forest``
+    reads the scenario forest, First's states by ``moves`` and Second's
+    by ``canonical``.
 
     Play from a state depends only on the taken set and the gap
     ``d = f - s``, so the one-int gap key ``d * 2**n + taken`` merges
@@ -228,10 +242,19 @@ class _Search:
         included, to the end of the game."""
         state = self.opening(start)
         self.best(*state)
-        log = [(FIRST, start)]
-        while (state[0] | state[1]) != self.full:
-            who, (v, state) = self.canonical(*state)
-            log.append((who, v))
+        return self.walk(start, state)
+
+    def walk(self, start: int, state) -> tuple[tuple[Player, int], ...]:
+        """``line(start)`` from ``state``, the opening at ``start``,
+        which ``best`` has searched: the opening, then ``canonical``'s
+        move at each state to the end of the game, each move as its
+        shared record in ``_MOVES``."""
+        first, second = _MOVES[FIRST], _MOVES[SECOND]
+        canonical, full = self.canonical, self.full
+        log = [first[start]]
+        while (state[0] | state[1]) != full:
+            who, (v, state) = canonical(*state)
+            log.append(first[v] if who is FIRST else second[v])
         return tuple(log)
 
     def forest(self) -> tuple[ForestNode, ...]:
@@ -447,9 +470,11 @@ def solve(instance: Instance, policy: TiePolicy = TiePolicy.FORBID) -> SolveRepo
     per_start = []
     best_raw = -1
     for start in range(instance.vertex_count):
-        raw = search.best(*search.opening(start))
+        state = search.opening(start)
+        raw = search.best(*state)
         value = Fraction(raw, search.total)
-        per_start.append(StartResult(start=start, value=value, line=search.line(start)))
+        line = search.walk(start, state)
+        per_start.append(StartResult(start=start, value=value, line=line))
         if raw > best_raw:
             best_raw = raw
             best_start = start

@@ -6,6 +6,7 @@ import importlib
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from graphshare import cli, generators
 from graphshare.adversary import GraphShape
 from graphshare.cli import (
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_SUITE_FAIL,
     EXIT_TIE,
     EXIT_USAGE,
@@ -575,6 +577,38 @@ def test_python_dash_m_runs_the_command_line():
     assert done.returncode == EXIT_USAGE
     assert done.stdout == ""
     assert done.stderr.startswith("error: unknown suite 'nope'")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as after ``| head``, with no
+    file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedPipe:
+    def test_a_closed_output_pipe_exits_silently_with_141(
+        self, cycle7_file, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["solve", str(cycle7_file)]) == EXIT_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_the_closed_pipe_is_pointed_at_devnull(self, cycle7_file, capsys, monkeypatch):
+        # a pipe of the test's own, read end closed: the short report
+        # waits in the buffer, so main's own flush meets the closed pipe,
+        # and the stream's last flush then goes to os.devnull
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["solve", str(cycle7_file), "--start", "3"]) == EXIT_PIPE
+            assert stat.S_ISCHR(os.fstat(write_fd).st_mode)
+        assert capsys.readouterr().err == ""
 
 
 NO_NETWORKX = """

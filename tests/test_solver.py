@@ -41,6 +41,7 @@ from graphshare.generators import (
 )
 from graphshare.oracle import audit_lines, brute_value
 from graphshare.solve import (
+    _MOVES,
     _Search,
     canonical_strategy,
     format_line,
@@ -193,6 +194,93 @@ class TestLines:
             moved = Player.FIRST if state.first_mask & (1 << vertex) else Player.SECOND
             assert moved is who
             assert value_from(inst, policy, state) == entry.value
+
+
+def _shared_records(line):
+    """Whether every move of ``line`` is the module's one record for its
+    player and vertex."""
+    return all(entry is _MOVES[entry[0]][entry[1]] for entry in line)
+
+
+def _canonical_reference(inst, policy, start):
+    """Canonical play after opening at ``start``, stepped by ``canonical``
+    with a fresh ``(player, vertex)`` tuple per move."""
+    search = _Search(inst, policy)
+    state = search.opening(start)
+    search.best(*state)
+    log = [(Player.FIRST, start)]
+    while state[0] | state[1] != inst.full_mask:
+        who, (v, state) = search.canonical(*state)
+        log.append((who, v))
+    return tuple(log)
+
+
+class TestSharedMoveRecords:
+    # the cap's top vertex on an 18-vertex path, ties settled by each
+    # tie policy on small weights, and the 7-cycle under forbid
+    CASES = (
+        (path(range(1, 19)), TiePolicy.FIRST_MOVES),
+        (gen_random_connected(9, 2, 5, 9), TiePolicy.FIRST_MOVES),
+        (gen_random_connected(9, 2, 6, 9), TiePolicy.SECOND_MOVES),
+        (gen_random_tree(10, 7, 10), TiePolicy.SECOND_MOVES),
+        (gen_cycle7_family(1000), TiePolicy.FORBID),
+    )
+
+    @pytest.mark.parametrize("inst, policy", CASES)
+    def test_every_line_holds_the_one_record_per_move(self, inst, policy, monkeypatch):
+        report = solve(inst, policy)
+        for entry in report.per_start:
+            assert _shared_records(entry.line)
+            assert _shared_records(principal_line(inst, policy, entry.start))
+        read = []
+        line = _Search.line
+
+        def recorded(search, start):
+            read.append(line(search, start))
+            return read[-1]
+
+        monkeypatch.setattr(_Search, "line", recorded)
+        response_map(inst, policy)
+        assert len(read) == inst.vertex_count
+        assert all(_shared_records(found) for found in read)
+
+    def test_solve_opens_each_start_once(self, monkeypatch):
+        inst = gen_cycle7_family(1000)
+        opened = []
+        opening = _Search.opening
+
+        def counted(search, v):
+            opened.append(v)
+            return opening(search, v)
+
+        monkeypatch.setattr(_Search, "opening", counted)
+        solve(inst, TiePolicy.FORBID)
+        assert opened == list(range(inst.vertex_count))
+
+
+@given(
+    case=st.one_of(
+        st.tuples(
+            instances(max_n=8, weight_max=4),
+            st.sampled_from((TiePolicy.FIRST_MOVES, TiePolicy.SECOND_MOVES)),
+        ),
+        st.tuples(instances(max_n=8, weight_max=10**9), st.sampled_from(ALL_POLICIES)),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_solve_lines_are_the_canonical_walk(case):
+    # small weights reach ties that first and second settle; under
+    # forbid a tied draw raises, and there is no line to compare
+    inst, policy = case
+    try:
+        report = solve(inst, policy)
+    except TieEncounteredError:
+        assert policy is TiePolicy.FORBID
+        return
+    search = _Search(inst, policy)
+    for entry in report.per_start:
+        expected = _canonical_reference(inst, policy, entry.start)
+        assert entry.line == search.line(entry.start) == expected
 
 
 class TestResponses:
